@@ -56,9 +56,13 @@ def find_peaks(raw: Spectrum, min_prominence: float, expected_count: int,
     return raw.bin_centers[idx[order]]
 
 
-def _gauss_const(x, amplitude, centroid, sigma, background):
-    return amplitude * np.exp(-0.5 * ((x - centroid) / sigma) ** 2) \
-        + background
+def _multi_gauss_const(x, *params):
+    background = params[-1]
+    out = np.full_like(x, background, dtype=np.float64)
+    for i in range(0, len(params) - 1, 3):
+        amplitude, centroid, sigma = params[i:i + 3]
+        out += amplitude * np.exp(-0.5 * ((x - centroid) / sigma) ** 2)
+    return out
 
 
 @dataclass(frozen=True)
@@ -86,9 +90,14 @@ class PeakFit:
                 f"window [{lo:.1f}, {hi:.1f}]")
 
 
-def fit_gaussian(raw: Spectrum, window: tuple[float, float]) -> PeakFit:
-    """Least-squares Gaussian + constant over the bins inside `window`."""
-    lo, hi = window
+def _fit_window(raw: Spectrum, lo: float, hi: float, start) -> list[PeakFit]:
+    """Least-squares Gaussians + one constant over the bins in [lo, hi].
+
+    ``start(x, y, background0)`` returns the initial parameters, three
+    per peak (amplitude, centroid, sigma) then the background.  The
+    peaks share the window's reduced chi-square and come back ordered by
+    centroid.
+    """
     centers = raw.bin_centers
     sel = (centers >= lo) & (centers <= hi)
     x = centers[sel]
@@ -101,40 +110,57 @@ def fit_gaussian(raw: Spectrum, window: tuple[float, float]) -> PeakFit:
                                "counts, need at least 100")
     yerr = np.sqrt(np.maximum(y, 1.0))
     background0 = float(np.median(np.concatenate((y[:3], y[-3:]))))
-    amplitude0 = max(float(y.max() - background0), 1.0)
-    weights = np.clip(y - background0, 0.0, None)
-    if weights.sum() > 0:
-        centroid0 = float(np.average(x, weights=weights))
-        var0 = float(np.average((x - centroid0) ** 2, weights=weights))
-        sigma0 = math.sqrt(var0) if var0 > 0 else (hi - lo) / 6.0
-    else:
-        centroid0 = 0.5 * (lo + hi)
-        sigma0 = (hi - lo) / 6.0
-    p0 = (amplitude0, centroid0, sigma0, background0)
+    p0 = start(x, y, background0)
+    peaks = (len(p0) - 1) // 3
     try:
         popt, pcov, info, mesg, ier = optimize.curve_fit(
-            _gauss_const, x, y, p0=p0, sigma=yerr, absolute_sigma=True,
-            maxfev=MAX_FIT_EVALS, full_output=True)
+            _multi_gauss_const, x, y, p0=p0, sigma=yerr, absolute_sigma=True,
+            maxfev=MAX_FIT_EVALS * peaks, full_output=True)
     except RuntimeError as exc:
-        raise FitError(f"no convergence within {MAX_FIT_EVALS} evaluations "
-                       f"in window [{lo}, {hi}]: {exc}") from None
+        raise FitError(f"no convergence within {MAX_FIT_EVALS * peaks} "
+                       f"evaluations in window [{lo}, {hi}]: {exc}") from None
     if ier not in (1, 2, 3, 4):
         raise FitError(f"fit failed in window [{lo}, {hi}]: {mesg}")
     if not np.all(np.isfinite(pcov)):
         raise FitError(f"undefined fit covariance in window [{lo}, {hi}]")
-    amplitude, centroid, sigma, background = popt
-    sigma = abs(sigma)  # model is even in sigma; lm may pick the mirror
-    residual = (y - _gauss_const(x, *popt)) / yerr
-    dof = max(len(x) - 4, 1)
+    residual = (y - _multi_gauss_const(x, *popt)) / yerr
+    goodness = float((residual ** 2).sum() / max(len(x) - len(popt), 1))
     perr = np.sqrt(np.clip(np.diag(pcov), 0.0, None))
-    return PeakFit(centroid_channel=float(centroid),
-                   sigma_channels=float(sigma),
-                   amplitude=float(amplitude),
-                   background=float(background),
-                   fit_window=(float(lo), float(hi)),
-                   goodness=float((residual ** 2).sum() / dof),
-                   centroid_uncertainty=float(perr[1]),
-                   sigma_uncertainty=float(perr[2]))
+    fits = []
+    for i in range(peaks):
+        amplitude, centroid, sigma = popt[3 * i:3 * i + 3]
+        sigma = abs(sigma)  # model is even in sigma; lm may pick the mirror
+        fits.append(PeakFit(centroid_channel=float(centroid),
+                            sigma_channels=float(sigma),
+                            amplitude=float(amplitude),
+                            background=float(popt[-1]),
+                            fit_window=(float(lo), float(hi)),
+                            goodness=goodness,
+                            centroid_uncertainty=float(perr[3 * i + 1]),
+                            sigma_uncertainty=float(perr[3 * i + 2])))
+    # joint fits may legally swap order; map back by channel
+    fits.sort(key=lambda p: p.centroid_channel)
+    return fits
+
+
+def fit_gaussian(raw: Spectrum, window: tuple[float, float]) -> PeakFit:
+    """Least-squares Gaussian + constant over the bins inside `window`,
+    started from the moments of the background-subtracted counts."""
+    lo, hi = window
+
+    def moments(x, y, background0):
+        amplitude0 = max(float(y.max() - background0), 1.0)
+        weights = np.clip(y - background0, 0.0, None)
+        if weights.sum() > 0:
+            centroid0 = float(np.average(x, weights=weights))
+            var0 = float(np.average((x - centroid0) ** 2, weights=weights))
+            sigma0 = math.sqrt(var0) if var0 > 0 else (hi - lo) / 6.0
+        else:
+            centroid0 = 0.5 * (lo + hi)
+            sigma0 = (hi - lo) / 6.0
+        return [amplitude0, centroid0, sigma0, background0]
+
+    return _fit_window(raw, lo, hi, moments)[0]
 
 
 @dataclass(frozen=True)
@@ -156,9 +182,6 @@ class CalibrationResult:
     @property
     def max_abs_residual_ev(self) -> float:
         return max((abs(r) for _, r in self.residuals), default=0.0)
-
-    def energy_of(self, channel):
-        return self.offset_ev + self.gain_ev_per_channel * channel
 
 
 def fit_calibration(anchors, crosschecks=(),
@@ -220,18 +243,10 @@ def fit_calibration(anchors, crosschecks=(),
     return result
 
 
-def _multi_gauss_const(x, *params):
-    background = params[-1]
-    out = np.full_like(x, background, dtype=np.float64)
-    for i in range(0, len(params) - 1, 3):
-        amplitude, centroid, sigma = params[i:i + 3]
-        out += amplitude * np.exp(-0.5 * ((x - centroid) / sigma) ** 2)
-    return out
-
-
 def _fit_cluster(raw: Spectrum, channels: np.ndarray, half: float,
                  sigma0: float) -> list[PeakFit]:
-    """Joint fit of neighboring peaks sharing one constant background.
+    """Joint fit of neighboring peaks sharing one constant background,
+    started at the expected positions.
 
     Lines closer than two window half-widths would pollute each other's
     single-peak fit through their tails, so they are fitted together.
@@ -239,53 +254,17 @@ def _fit_cluster(raw: Spectrum, channels: np.ndarray, half: float,
     if len(channels) == 1:
         c = channels[0]
         return [fit_gaussian(raw, (c - half, c + half))]
-    lo, hi = channels[0] - half, channels[-1] + half
-    centers = raw.bin_centers
-    sel = (centers >= lo) & (centers <= hi)
-    x = centers[sel]
-    y = raw.counts[sel].astype(np.float64)
-    if y.sum() < 100:
-        raise CalibrationError(f"window [{lo}, {hi}] holds {y.sum():.0f} "
-                               "counts, need at least 100")
-    yerr = np.sqrt(np.maximum(y, 1.0))
-    background0 = float(np.median(np.concatenate((y[:3], y[-3:]))))
-    p0 = []
-    for c in channels:
-        near = np.abs(x - c) < sigma0
-        amplitude0 = max(float(y[near].max() - background0), 1.0) \
-            if near.any() else 1.0
-        p0 += [amplitude0, float(c), sigma0]
-    p0.append(background0)
-    try:
-        popt, pcov, info, mesg, ier = optimize.curve_fit(
-            _multi_gauss_const, x, y, p0=p0, sigma=yerr, absolute_sigma=True,
-            maxfev=MAX_FIT_EVALS * len(channels), full_output=True)
-    except RuntimeError as exc:
-        raise FitError(f"no convergence in joint window [{lo:.0f}, "
-                       f"{hi:.0f}]: {exc}") from None
-    if ier not in (1, 2, 3, 4):
-        raise FitError(f"joint fit failed in [{lo:.0f}, {hi:.0f}]: {mesg}")
-    if not np.all(np.isfinite(pcov)):
-        raise FitError(f"undefined fit covariance in [{lo:.0f}, {hi:.0f}]")
-    residual = (y - _multi_gauss_const(x, *popt)) / yerr
-    dof = max(len(x) - len(popt), 1)
-    goodness = float((residual ** 2).sum() / dof)
-    perr = np.sqrt(np.clip(np.diag(pcov), 0.0, None))
-    fits = []
-    for i in range(len(channels)):
-        amplitude, centroid, sigma = popt[3 * i:3 * i + 3]
-        sigma = abs(sigma)  # model is even in sigma
-        fits.append(PeakFit(centroid_channel=float(centroid),
-                            sigma_channels=float(sigma),
-                            amplitude=float(amplitude),
-                            background=float(popt[-1]),
-                            fit_window=(float(lo), float(hi)),
-                            goodness=goodness,
-                            centroid_uncertainty=float(perr[3 * i + 1]),
-                            sigma_uncertainty=float(perr[3 * i + 2])))
-    # joint fits may legally swap order; map back by channel
-    fits.sort(key=lambda p: p.centroid_channel)
-    return fits
+
+    def expected(x, y, background0):
+        p0 = []
+        for c in channels:
+            near = np.abs(x - c) < sigma0
+            amplitude0 = max(float(y[near].max() - background0), 1.0) \
+                if near.any() else 1.0
+            p0 += [amplitude0, float(c), sigma0]
+        return p0 + [background0]
+
+    return _fit_window(raw, channels[0] - half, channels[-1] + half, expected)
 
 
 def calibrate_spectrum(raw: Spectrum, anchor_lines, crosscheck_lines=(),

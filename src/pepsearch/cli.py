@@ -17,6 +17,7 @@ import argparse
 import os
 import sys
 import tempfile
+from contextlib import contextmanager
 from pathlib import Path
 
 from . import calibrate as calibrate_mod
@@ -33,23 +34,14 @@ from .eventio import (REJECT_VETO_COINCIDENCE, TRIGGER_SDD, export_spectrum,
 OUTPUT_DIR_ENV = "PEPSEARCH_OUTPUT_DIR"
 
 
-def _write_text(path: Path, text: str) -> None:
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-def _write_run_file(path: Path, header, events) -> None:
+@contextmanager
+def _atomic_write(path: Path):
+    """Binary handle on a temp file beside ``path``, renamed onto it when
+    the block succeeds and removed when it fails."""
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
     try:
         with os.fdopen(fd, "wb") as fh:
-            write_run(header, events, fh)
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -80,37 +72,35 @@ def _output_dir(args) -> Path:
     return out
 
 
-def _energy_spectrum(path: Path, cfg, response):
-    """Read a run file into (header, ROI-ready energy spectrum)."""
+def _run_spectrum(path, response, bins: int, lo: float, hi: float):
+    """Read a run file into (header, spectrum of its SDD self-triggers
+    outside veto coincidences); ``response=None`` bins raw channels."""
     header, events = read_run(path)
     kept = select_events(events, trigger_filter=TRIGGER_SDD,
                          veto_policy=REJECT_VETO_COINCIDENCE)
-    spec = histogram(kept, response=response, bins=cfg.binning.bins,
-                     lo=cfg.binning.low_ev, hi=cfg.binning.high_ev,
+    spec = histogram(kept, response=response, bins=bins, lo=lo, hi=hi,
                      live_time_s=float(header.live_time_s),
                      run_ids=(header.run_id,))
     return header, spec
 
 
-def cmd_simulate(args) -> int:
-    cfg = _load_config(args)
-    out = _output_dir(args)
+def cmd_simulate(args, cfg, out: Path) -> int:
     campaign = simulate_mod.simulate_campaign(
         cfg.source, cfg.injection, cfg.response, cfg.limit.efficiency,
         cfg.run_on, cfg.run_off, cfg.constants, cfg.roi, args.seed)
     for (header, events, tallies) in campaign:
         run_path = out / f"{header.run_id}.run"
-        _write_run_file(run_path, header, events)
+        with _atomic_write(run_path) as fh:
+            write_run(header, events, fh)
         report = simulate_mod.render_generation_report(header, tallies,
                                                        seed=args.seed)
-        _write_text(out / f"{header.run_id}_generation.txt", report)
+        with _atomic_write(out / f"{header.run_id}_generation.txt") as fh:
+            fh.write(report.encode())
         print(f"wrote {run_path} ({header.event_count} events)")
     return 0
 
 
-def cmd_efficiency(args) -> int:
-    cfg = _load_config(args)
-    out = _output_dir(args)
+def cmd_efficiency(args, cfg, out: Path) -> int:
     samples = args.samples if args.samples is not None \
         else cfg.efficiency.samples
     result = run_efficiency(cfg.geometry, cfg.constants, samples=samples,
@@ -118,21 +108,15 @@ def cmd_efficiency(args) -> int:
                             batch_size=cfg.efficiency.batch_size,
                             workers=args.workers)
     report = render_efficiency_report(result)
-    _write_text(out / "efficiency.txt", report)
+    with _atomic_write(out / "efficiency.txt") as fh:
+        fh.write(report.encode())
     print(report, end="")
     return 0
 
 
-def cmd_calibrate(args) -> int:
-    cfg = _load_config(args)
-    out = _output_dir(args)
-    header, events = read_run(args.input)
-    kept = select_events(events, trigger_filter=TRIGGER_SDD,
-                         veto_policy=REJECT_VETO_COINCIDENCE)
-    raw = histogram(kept, response=None, bins=cfg.response.channel_count,
-                    lo=-0.5, hi=cfg.response.channel_count - 0.5,
-                    live_time_s=float(header.live_time_s),
-                    run_ids=(header.run_id,))
+def cmd_calibrate(args, cfg, out: Path) -> int:
+    channels = cfg.response.channel_count
+    _, raw = _run_spectrum(args.input, None, channels, -0.5, channels - 0.5)
     anchors = [cfg.lines[label] for label in cfg.calibration.anchors]
     checks = [cfg.lines[label] for label in cfg.calibration.crosschecks]
     result, fits = calibrate_mod.calibrate_spectrum(
@@ -142,12 +126,13 @@ def cmd_calibrate(args) -> int:
         min_prominence=cfg.calibration.min_prominence,
         window_halfwidth_sigmas=cfg.calibration.window_halfwidth_sigmas,
         residual_threshold_ev=cfg.calibration.residual_threshold_ev)
-    _write_text(out / "calibration.txt",
-                calibrate_mod.render_calibration_report(result, fits))
-    _write_text(out / "response.cfg",
-                calibrate_mod.response_section_text(
-                    result, channel_count=cfg.response.channel_count,
-                    reference_energy_ev=cfg.response.reference_energy_ev))
+    with _atomic_write(out / "calibration.txt") as fh:
+        fh.write(calibrate_mod.render_calibration_report(result,
+                                                         fits).encode())
+    with _atomic_write(out / "response.cfg") as fh:
+        fh.write(calibrate_mod.response_section_text(
+            result, channel_count=channels,
+            reference_energy_ev=cfg.response.reference_energy_ev).encode())
     print(f"gain {result.gain_ev_per_channel:.6f} eV/ch, offset "
           f"{result.offset_ev:+.3f} eV, fwhm@8keV "
           f"{result.resolution_fwhm_at_8kev:.2f} eV")
@@ -157,8 +142,9 @@ def cmd_calibrate(args) -> int:
 def analyze_runs(cfg, on_path: Path, off_path: Path, response,
                  error_mode: str):
     """Shared by cmd_analyze and tests: files in, AnalysisRecord out."""
-    on_header, on_spec = _energy_spectrum(on_path, cfg, response)
-    off_header, off_spec = _energy_spectrum(off_path, cfg, response)
+    binning = (cfg.binning.bins, cfg.binning.low_ev, cfg.binning.high_ev)
+    on_header, on_spec = _run_spectrum(on_path, response, *binning)
+    off_header, off_spec = _run_spectrum(off_path, response, *binning)
     if not on_header.current_on or off_header.current_on:
         raise DomainError("analyze expects --on current-on and --off "
                           "current-off run files")
@@ -179,27 +165,25 @@ def analyze_runs(cfg, on_path: Path, off_path: Path, response,
     return record, on_spec, off_spec
 
 
-def cmd_analyze(args) -> int:
-    cfg = _load_config(args)
-    out = _output_dir(args)
+def cmd_analyze(args, cfg, out: Path) -> int:
     response = cfg.response
     if args.calibration:
         response = config_mod.load_response_file(args.calibration)
     record, on_spec, off_spec = analyze_runs(
         cfg, Path(args.on), Path(args.off), response, args.error_mode)
-    export_spectrum(on_spec, out / "spectrum_on.txt")
-    export_spectrum(off_spec, out / "spectrum_off.txt")
-    _write_text(out / "analysis.txt",
-                limits_mod.render_analysis_report(record))
+    for name, spec in (("spectrum_on.txt", on_spec),
+                       ("spectrum_off.txt", off_spec)):
+        with _atomic_write(out / name) as fh:
+            export_spectrum(spec, fh)
+    with _atomic_write(out / "analysis.txt") as fh:
+        fh.write(limits_mod.render_analysis_report(record).encode())
     sub = record.subtraction
     print(f"N_on {sub.n_on}, N_off_norm {sub.n_off_normalized}, "
           f"delta {sub.delta}")
     return 0
 
 
-def cmd_limit(args) -> int:
-    cfg = _load_config(args)
-    out = _output_dir(args)
+def cmd_limit(args, cfg, out: Path) -> int:
     record = limits_mod.parse_analysis_report(
         Path(args.analysis).read_text())
     efficiency = cfg.limit.efficiency
@@ -215,14 +199,13 @@ def cmd_limit(args) -> int:
         result, n_off_raw=record.n_off_raw,
         off_live_time_s=record.off_live_time_s,
         on_live_time_s=record.on_run.live_time_s)
-    _write_text(out / "limit.txt", report)
+    with _atomic_write(out / "limit.txt") as fh:
+        fh.write(report.encode())
     print(report, end="")
     return 0
 
 
-def cmd_project(args) -> int:
-    cfg = _load_config(args)
-    out = _output_dir(args)
+def cmd_project(args, cfg, out: Path) -> int:
     if args.analysis:
         record = limits_mod.parse_analysis_report(
             Path(args.analysis).read_text())
@@ -238,16 +221,16 @@ def cmd_project(args) -> int:
         args.target, sigma, live, cfg.constants, cfg.limit.efficiency,
         current, n_sigma=cfg.limit.n_sigma)
     report = limits_mod.render_projection_report(proj)
-    _write_text(out / "projection.txt", report)
+    with _atomic_write(out / "projection.txt") as fh:
+        fh.write(report.encode())
     print(report, end="")
     return 0
 
 
-def cmd_reproduce(args) -> int:
-    cfg = _load_config(args)
-    out = _output_dir(args)
+def cmd_reproduce(args, cfg, out: Path) -> int:
     result = reference_mod.reproduce_reference(cfg)
-    _write_text(out / "reproduction.txt", result.report)
+    with _atomic_write(out / "reproduction.txt") as fh:
+        fh.write(result.report.encode())
     print(result.report, end="")
     if not result.passed:
         print(f"error: computed bound deviates from the published value "
@@ -263,9 +246,6 @@ def build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--output-dir", metavar="DIR",
                         help="artifact directory (default: "
                              f"${OUTPUT_DIR_ENV} or the working directory)")
-    shared.add_argument("--workers", type=int, default=1,
-                        help="worker processes for the efficiency "
-                             "Monte Carlo (default 1)")
 
     parser = argparse.ArgumentParser(
         prog="pepsearch",
@@ -282,6 +262,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="Monte Carlo detection efficiency")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--samples", type=int)
+    p.add_argument("--workers", type=int, default=1,
+                   help="worker processes for the Monte Carlo (default 1)")
     p.set_defaults(func=cmd_efficiency)
 
     p = sub.add_parser("calibrate", parents=[shared],
@@ -327,7 +309,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(args, _load_config(args), _output_dir(args))
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

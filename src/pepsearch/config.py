@@ -16,7 +16,7 @@ from importlib import resources
 from pathlib import Path
 
 from .core import (DetectorPlate, EmissionLine, GeometryConfig,
-                   PhysicsConstants, ResponseModel, RunMeta)
+                   PhysicsConstants, ResponseModel, RunMeta, Section)
 from .errors import ConfigError
 from .limits import (BOUND_CONVENTIONS, ERROR_MODES, RoiDefinition)
 from .simulate import ContinuumModel, InjectionConfig, SourceModel
@@ -105,63 +105,6 @@ class AnalysisConfig:
     reference: ReferenceValues
 
 
-class _Section:
-    """One INI section with consumed-key tracking."""
-
-    def __init__(self, name: str, values: dict[str, str]):
-        self.name = name
-        self.values = dict(values)
-        self.seen: set[str] = set()
-
-    def _raw(self, key: str) -> str:
-        if key not in self.values:
-            raise ConfigError(f"[{self.name}] is missing key {key!r}")
-        self.seen.add(key)
-        return self.values[key]
-
-    def text(self, key: str) -> str:
-        return self._raw(key).strip()
-
-    def number(self, key: str) -> float:
-        raw = self._raw(key)
-        try:
-            return float(raw)
-        except ValueError:
-            raise ConfigError(
-                f"[{self.name}] {key} = {raw!r} is not a number") from None
-
-    def integer(self, key: str) -> int:
-        raw = self._raw(key)
-        try:
-            return int(raw)
-        except ValueError:
-            raise ConfigError(
-                f"[{self.name}] {key} = {raw!r} is not an integer") from None
-
-    def boolean(self, key: str) -> bool:
-        raw = self._raw(key).strip().lower()
-        if raw in ("true", "yes", "on", "1"):
-            return True
-        if raw in ("false", "no", "off", "0"):
-            return False
-        raise ConfigError(f"[{self.name}] {key} = {raw!r} is not a boolean")
-
-    def labels(self, key: str) -> tuple[str, ...]:
-        return tuple(part.strip() for part in self._raw(key).split(",")
-                     if part.strip())
-
-    def optional_number(self, key: str):
-        if key not in self.values:
-            return None
-        return self.number(key)
-
-    def finish(self):
-        extra = set(self.values) - self.seen
-        if extra:
-            raise ConfigError(
-                f"[{self.name}] has unknown key(s): {', '.join(sorted(extra))}")
-
-
 def _read_parser(text: str, origin: str) -> configparser.ConfigParser:
     parser = configparser.ConfigParser(interpolation=None)
     try:
@@ -171,12 +114,23 @@ def _read_parser(text: str, origin: str) -> configparser.ConfigParser:
     return parser
 
 
+def _response(sec: Section) -> ResponseModel:
+    response = ResponseModel(
+        fwhm_at_reference_ev=sec.number("fwhm_at_reference_ev"),
+        reference_energy_ev=sec.number("reference_energy_ev"),
+        gain_ev_per_channel=sec.number("gain_ev_per_channel"),
+        offset_ev=sec.number("offset_ev"),
+        channel_count=sec.integer("channel_count"))
+    sec.finish()
+    return response
+
+
 def _parse(parser: configparser.ConfigParser, origin: str) -> AnalysisConfig:
-    sections = {name: _Section(name, dict(parser.items(name)))
+    sections = {name: Section(f"[{name}]", dict(parser.items(name)))
                 for name in parser.sections()}
     consumed: set[str] = set()
 
-    def take(name: str) -> _Section:
+    def take(name: str) -> Section:
         if name not in sections:
             raise ConfigError(f"{origin} is missing section [{name}]")
         consumed.add(name)
@@ -193,14 +147,7 @@ def _parse(parser: configparser.ConfigParser, origin: str) -> AnalysisConfig:
         capture_fraction=sec.number("capture_fraction"))
     sec.finish()
 
-    sec = take("response")
-    response = ResponseModel(
-        fwhm_at_reference_ev=sec.number("fwhm_at_reference_ev"),
-        reference_energy_ev=sec.number("reference_energy_ev"),
-        gain_ev_per_channel=sec.number("gain_ev_per_channel"),
-        offset_ev=sec.number("offset_ev"),
-        channel_count=sec.integer("channel_count"))
-    sec.finish()
+    response = _response(take("response"))
 
     plates = []
     for name in sorted(n for n in sections if n.startswith("geometry.detector.")):
@@ -403,12 +350,4 @@ def load_response_file(path: str | Path) -> ResponseModel:
     parser = _read_parser(path.read_text(), str(path))
     if "response" not in parser.sections():
         raise ConfigError(f"{path} has no [response] section")
-    sec = _Section("response", dict(parser.items("response")))
-    response = ResponseModel(
-        fwhm_at_reference_ev=sec.number("fwhm_at_reference_ev"),
-        reference_energy_ev=sec.number("reference_energy_ev"),
-        gain_ev_per_channel=sec.number("gain_ev_per_channel"),
-        offset_ev=sec.number("offset_ev"),
-        channel_count=sec.integer("channel_count"))
-    sec.finish()
-    return response
+    return _response(Section("[response]", dict(parser.items("response"))))

@@ -27,6 +27,82 @@ PEP_LINE_ENERGY_EV = 0.5 * (ROI_LOW_EV + ROI_HIGH_EV)
 SDD_COUNT = 6
 
 
+class Section:
+    """Named ``key = value`` strings with typed getters and consumed-key
+    tracking; every malformed or missing value is a ConfigError.
+
+    ``label`` prefixes the messages, e.g. ``[response]`` for a config
+    section or ``efficiency report`` for an artifact.
+    """
+
+    def __init__(self, label: str, values: dict[str, str]):
+        self.label = label
+        self.values = dict(values)
+        self.seen: set[str] = set()
+
+    @classmethod
+    def from_text(cls, label: str, text: str) -> "Section":
+        """Collect the ``key = value`` lines of an artifact.
+
+        Lines without '=' are skipped; a line of '=' (a title underline)
+        lands under the empty key, so artifact readers never call finish.
+        """
+        values = {}
+        for line in text.splitlines():
+            key, sep, value = line.partition("=")
+            if sep:
+                values[key.strip()] = value.strip()
+        return cls(label, values)
+
+    def _raw(self, key: str) -> str:
+        if key not in self.values:
+            raise ConfigError(f"{self.label} is missing key {key!r}")
+        self.seen.add(key)
+        return self.values[key]
+
+    def text(self, key: str) -> str:
+        return self._raw(key).strip()
+
+    def number(self, key: str) -> float:
+        raw = self._raw(key)
+        try:
+            return float(raw)
+        except ValueError:
+            raise ConfigError(
+                f"{self.label} {key} = {raw!r} is not a number") from None
+
+    def integer(self, key: str) -> int:
+        raw = self._raw(key)
+        try:
+            return int(raw)
+        except ValueError:
+            raise ConfigError(
+                f"{self.label} {key} = {raw!r} is not an integer") from None
+
+    def boolean(self, key: str) -> bool:
+        raw = self._raw(key).strip().lower()
+        if raw in ("true", "yes", "on", "1"):
+            return True
+        if raw in ("false", "no", "off", "0"):
+            return False
+        raise ConfigError(f"{self.label} {key} = {raw!r} is not a boolean")
+
+    def labels(self, key: str) -> tuple[str, ...]:
+        return tuple(part.strip() for part in self._raw(key).split(",")
+                     if part.strip())
+
+    def optional_number(self, key: str):
+        if key not in self.values:
+            return None
+        return self.number(key)
+
+    def finish(self):
+        extra = set(self.values) - self.seen
+        if extra:
+            raise ConfigError(
+                f"{self.label} has unknown key(s): {', '.join(sorted(extra))}")
+
+
 def fwhm_to_sigma(fwhm: float) -> float:
     """Convert a Gaussian full width at half maximum to its sigma."""
     if fwhm <= 0:

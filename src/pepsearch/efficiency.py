@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GeometryConfig, PhysicsConstants
+from .core import GeometryConfig, PhysicsConstants, Section
 from .errors import DomainError
 
 MIN_SAMPLES = 10_000
@@ -176,7 +176,7 @@ def run_efficiency(geometry: GeometryConfig, consts: PhysicsConstants,
 
 
 def render_efficiency_report(result: EfficiencyResult) -> str:
-    """Key = value text, parseable by load_efficiency_report."""
+    """Key = value text, parseable by parse_efficiency_report."""
     t, a, ab = result.breakdown
     lines = [
         "efficiency monte carlo",
@@ -192,18 +192,11 @@ def render_efficiency_report(result: EfficiencyResult) -> str:
 
 
 def parse_efficiency_report(text: str) -> EfficiencyResult:
-    values: dict[str, str] = {}
-    for line in text.splitlines():
-        if "=" in line:
-            key, _, val = line.partition("=")
-            values[key.strip()] = val.strip()
-    try:
-        return EfficiencyResult(
-            efficiency=float(values["efficiency"]),
-            mc_uncertainty=float(values["mc_uncertainty"]),
-            samples=int(values["samples"]),
-            breakdown=(float(values["transmission"]),
-                       float(values["acceptance"]),
-                       float(values["absorption"])))
-    except KeyError as missing:
-        raise DomainError(f"efficiency report lacks {missing}") from None
+    """Inverse of render_efficiency_report, to the printed precision."""
+    sec = Section.from_text("efficiency report", text)
+    return EfficiencyResult(
+        efficiency=sec.number("efficiency"),
+        mc_uncertainty=sec.number("mc_uncertainty"),
+        samples=sec.integer("samples"),
+        breakdown=(sec.number("transmission"), sec.number("acceptance"),
+                   sec.number("absorption")))

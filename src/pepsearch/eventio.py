@@ -33,7 +33,7 @@ from typing import BinaryIO, Iterable
 
 import numpy as np
 
-from .core import ResponseModel, RunMeta
+from .core import SDD_COUNT, ResponseModel, RunMeta
 from .errors import (BadMagicError, DomainError, FormatError,
                      RecordInvariantError, TruncatedFileError,
                      UnsupportedVersionError)
@@ -94,7 +94,7 @@ def validate_records(events: np.ndarray, base_offset: int = 0) -> None:
     """Raise RecordInvariantError on the first record breaking an invariant."""
     sdd = events["sdd_id"]
     flags = events["trigger_flags"]
-    bad_id = ~((sdd <= 5) | (sdd == VETO_ONLY_SDD_ID))
+    bad_id = ~((sdd < SDD_COUNT) | (sdd == VETO_ONLY_SDD_ID))
     veto_only = (flags & TRIGGER_SDD) == 0
     inconsistent = veto_only != (sdd == VETO_ONLY_SDD_ID)
     bad = bad_id | inconsistent
@@ -177,7 +177,10 @@ def read_run(source: BinaryIO | bytes | str | Path) -> tuple[RunHeader, np.ndarr
     if len(data) < pos + rid_len + _HEAD_TAIL.size:
         raise TruncatedFileError("file ends inside the header",
                                  offset=len(data))
-    run_id = data[pos:pos + rid_len].decode("utf-8")
+    try:
+        run_id = data[pos:pos + rid_len].decode("utf-8")
+    except UnicodeDecodeError:
+        raise FormatError("run_id is not valid UTF-8", offset=pos) from None
     pos += rid_len
     current_ma, live_time_s, on_byte, event_count = _HEAD_TAIL.unpack_from(data, pos)
     pos += _HEAD_TAIL.size
@@ -314,7 +317,7 @@ def histogram(events: np.ndarray, response: ResponseModel | None = None,
         det = frozenset(int(d) for d in detectors)
         events = events[np.isin(events["sdd_id"], sorted(det))]
     else:
-        det = frozenset(range(6))
+        det = frozenset(range(SDD_COUNT))
 
     adc = events["adc"].astype(np.float64)
     values = adc if response is None else response.energy_of(adc)

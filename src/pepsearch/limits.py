@@ -16,7 +16,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import PhysicsConstants, ROI_HIGH_EV, ROI_LOW_EV, RunMeta
+from .core import (PhysicsConstants, ROI_HIGH_EV, ROI_LOW_EV, RunMeta,
+                   Section)
 from .errors import DomainError
 from .eventio import Spectrum
 
@@ -327,37 +328,27 @@ def render_analysis_report(record: AnalysisRecord) -> str:
 
 def parse_analysis_report(text: str) -> AnalysisRecord:
     """Inverse of render_analysis_report."""
-    values: dict[str, str] = {}
-    for line in text.splitlines():
-        if "=" in line:
-            key, _, val = line.partition("=")
-            values[key.strip()] = val.strip()
-    try:
-        sub = SubtractionResult(
-            n_on=Measurement(float(values["n_on"]),
-                             float(values["n_on_sigma"])),
-            n_off_normalized=Measurement(
-                float(values["n_off_normalized"]),
-                float(values["n_off_normalized_sigma"])),
-            delta=Measurement(float(values["delta"]),
-                              float(values["delta_sigma"])),
-            normalization_factor=float(values["normalization"]),
-            error_mode=values["error_mode"])
-        return AnalysisRecord(
-            subtraction=sub,
-            n_off_raw=Measurement(float(values["n_off_raw"]),
-                                  float(values["n_off_raw_sigma"])),
-            on_run=RunMeta(run_id=values["on_run_id"],
-                           current_a=float(values["on_current_a"]),
-                           live_time_s=float(values["on_live_time_s"]),
-                           current_on=True),
-            off_live_time_s=float(values["off_live_time_s"]),
-            roi=RoiDefinition(low_ev=float(values["roi_low_ev"]),
-                              high_ev=float(values["roi_high_ev"])))
-    except KeyError as missing:
-        raise DomainError(f"analysis report lacks {missing}") from None
-    except ValueError as exc:
-        raise DomainError(f"analysis report is malformed: {exc}") from None
+    sec = Section.from_text("analysis report", text)
+
+    def measurement(key: str) -> Measurement:
+        return Measurement(sec.number(key), sec.number(key + "_sigma"))
+
+    sub = SubtractionResult(
+        n_on=measurement("n_on"),
+        n_off_normalized=measurement("n_off_normalized"),
+        delta=measurement("delta"),
+        normalization_factor=sec.number("normalization"),
+        error_mode=sec.text("error_mode"))
+    return AnalysisRecord(
+        subtraction=sub,
+        n_off_raw=measurement("n_off_raw"),
+        on_run=RunMeta(run_id=sec.text("on_run_id"),
+                       current_a=sec.number("on_current_a"),
+                       live_time_s=sec.number("on_live_time_s"),
+                       current_on=True),
+        off_live_time_s=sec.number("off_live_time_s"),
+        roi=RoiDefinition(low_ev=sec.number("roi_low_ev"),
+                          high_ev=sec.number("roi_high_ev")))
 
 
 def render_projection_report(proj: ProjectionResult) -> str:

@@ -24,11 +24,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (EmissionLine, PhysicsConstants, ResponseModel, RunMeta,
-                   line_lookup)
+from .core import (SDD_COUNT, EmissionLine, PhysicsConstants, ResponseModel,
+                   RunMeta, line_lookup)
 from .errors import DomainError
 from .eventio import (EVENT_DTYPE, QDC_CHANNELS, RunHeader, TRIGGER_SDD,
-                      TRIGGER_VETO_INNER, TRIGGER_VETO_OUTER, write_run)
+                      TRIGGER_VETO_INNER, TRIGGER_VETO_OUTER)
 from .limits import RoiDefinition, compute_n_int, compute_n_new
 
 CONTINUUM_FLAT = "flat"
@@ -144,14 +144,13 @@ def _photon_records(rng: np.random.Generator, live_time_s: float,
         return events, 0, 0
     times = rng.uniform(0.0, live_time_s, n)
     smeared = energies + response.sigma_ev * rng.standard_normal(n)
-    channels = np.rint((smeared - response.offset_ev)
-                       / response.gain_ev_per_channel).astype(np.int64)
+    channels = response.channel_of(smeared)
     low = int((channels < 0).sum())
     high = int((channels >= response.channel_count).sum())
     channels = np.clip(channels, 0, response.channel_count - 1)
     events["timestamp_ns"] = (times * 1e9).astype(np.uint64)
     events["trigger_flags"] = TRIGGER_SDD
-    events["sdd_id"] = rng.integers(0, 6, n).astype(np.uint8)
+    events["sdd_id"] = rng.integers(0, SDD_COUNT, n).astype(np.uint8)
     events["adc"] = channels.astype(np.uint16)
     events["sdd_timing_ns"] = rng.integers(
         -_TIMING_JITTER_NS, _TIMING_JITTER_NS + 1, n, dtype=np.int32)
@@ -306,9 +305,3 @@ def simulate_campaign(source: SourceModel, inj: InjectionConfig,
                        roi, off_seed)
     return on, off
 
-
-def write_campaign(campaign, on_path, off_path) -> None:
-    """Write the two runs of simulate_campaign to disk."""
-    (on_header, on_events, _), (off_header, off_events, _) = campaign
-    write_run(on_header, on_events, on_path)
-    write_run(off_header, off_events, off_path)

@@ -5,6 +5,7 @@ import math
 import pytest
 
 from pepsearch import cli, config, limits
+from pepsearch.efficiency import EfficiencyResult, render_efficiency_report
 from pepsearch.eventio import read_run
 
 # 3 d on / 2 d off keeps full-source simulations fast while leaving
@@ -249,6 +250,45 @@ class TestExitCodes:
                        "--output-dir", str(tmp_path)])
         assert rc == 2
         assert "usage error" in capsys.readouterr().err
+
+    def test_workers_only_on_efficiency(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["analyze", "--on", "a.run", "--off", "b.run",
+                      "--workers", "2", "--output-dir", str(tmp_path)])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("artifact, key", [
+        ("efficiency", "efficiency"),
+        ("analysis", "delta_sigma"),
+    ])
+    def test_non_numeric_artifact_value(self, artifact, key, small_cfg,
+                                        tmp_path, capsys):
+        record = limits.AnalysisRecord(
+            subtraction=limits.subtract(limits.Measurement(2222.0, 47.0),
+                                        limits.Measurement(2181.0, 47.0)),
+            n_off_raw=limits.Measurement(1796.0, 42.0),
+            on_run=small_cfg.run_on,
+            off_live_time_s=small_cfg.run_off.live_time_s, roi=small_cfg.roi)
+        texts = {
+            "analysis": limits.render_analysis_report(record),
+            "efficiency": render_efficiency_report(EfficiencyResult(
+                efficiency=0.01, mc_uncertainty=1e-5, samples=10_000,
+                breakdown=(0.5, 0.02, 0.9))),
+        }
+        lines = [f"{key} = x" if line.split("=")[0].strip() == key else line
+                 for line in texts[artifact].splitlines()]
+        texts[artifact] = "\n".join(lines) + "\n"
+        for name, text in texts.items():
+            (tmp_path / f"{name}.txt").write_text(text)
+        rc = cli.main(["limit", "--analysis", str(tmp_path / "analysis.txt"),
+                       "--efficiency-file", str(tmp_path / "efficiency.txt"),
+                       "--output-dir", str(tmp_path)])
+        assert rc == 1
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("error:")
+        assert "\n" not in err
+        assert key in err
+        assert not (tmp_path / "limit.txt").exists()
 
     def test_truncated_run_file(self, small_cfg_path, campaign_dir,
                                 tmp_path, capsys):

@@ -123,6 +123,13 @@ class TestReadErrors:
         with pytest.raises(UnsupportedVersionError):
             eventio.read_run(bytes(data))
 
+    def test_run_id_not_utf8(self):
+        data = bytearray(self._bytes())
+        data[8] = 0xFF              # first run_id byte, never valid UTF-8
+        with pytest.raises(FormatError) as err:
+            eventio.read_run(bytes(data))
+        assert err.value.offset == 8
+
     def test_truncation_every_offset(self):
         data = self._bytes(3)
         for cut in range(len(data)):

@@ -265,20 +265,6 @@ class TestSimulateCampaign:
                 quiet_source, no_injection, cfg.response, 0.01, cfg.run_off,
                 cfg.run_on, cfg.constants, cfg.roi, 1)
 
-    def test_write_campaign(self, cfg, quiet_source, no_injection, tmp_path):
-        on1 = dataclasses.replace(cfg.run_on, live_time_s=43200)
-        off1 = dataclasses.replace(cfg.run_off, live_time_s=43200)
-        campaign = simulate.simulate_campaign(
-            quiet_source, no_injection, cfg.response, 0.01, on1, off1,
-            cfg.constants, cfg.roi, 9)
-        on_path = tmp_path / "on.run"
-        off_path = tmp_path / "off.run"
-        simulate.write_campaign(campaign, on_path, off_path)
-        h_on, ev_on = eventio.read_run(on_path)
-        h_off, _ = eventio.read_run(off_path)
-        assert h_on.event_count == len(ev_on)
-        assert h_on.current_on and not h_off.current_on
-
 
 class TestSourceValidation:
     def test_negative_rate(self, cfg):
