@@ -7,8 +7,7 @@ from .core import (EmissionLine, GeometryConfig, PhysicsConstants,
 from .efficiency import EfficiencyResult, run_efficiency
 from .errors import (CalibrationError, ConfigError, DomainError, FitError,
                      FormatError)
-from .eventio import RunHeader, Spectrum, histogram, read_run, select_events, \
-    write_run
+from .eventio import RunHeader, Spectrum, histogram, read_run, write_run
 from .limits import (LimitResult, Measurement, RoiDefinition,
                      SubtractionResult, compute_limit, count_roi,
                      normalize_livetime, project_sensitivity, subtract)
@@ -26,7 +25,7 @@ __all__ = [
     "Spectrum", "SubtractionResult", "compute_limit", "count_roi",
     "default_geometry", "default_line_table", "expected_violation_counts",
     "fwhm_to_sigma", "histogram", "normalize_livetime",
-    "project_sensitivity", "read_run", "run_efficiency", "select_events",
-    "sigma_to_fwhm", "simulate_campaign", "simulate_run", "subtract",
-    "write_run", "__version__",
+    "project_sensitivity", "read_run", "run_efficiency", "sigma_to_fwhm",
+    "simulate_campaign", "simulate_run", "subtract", "write_run",
+    "__version__",
 ]

@@ -28,8 +28,7 @@ from . import simulate as simulate_mod
 from .efficiency import (parse_efficiency_report, render_efficiency_report,
                          run_efficiency)
 from .errors import DomainError, FormatError
-from .eventio import (REJECT_VETO_COINCIDENCE, TRIGGER_SDD, export_spectrum,
-                      histogram, read_run, select_events, write_run)
+from .eventio import export_spectrum, histogram, read_run, write_run
 
 OUTPUT_DIR_ENV = "PEPSEARCH_OUTPUT_DIR"
 
@@ -73,15 +72,12 @@ def _output_dir(args) -> Path:
 
 
 def _run_spectrum(path, response, bins: int, lo: float, hi: float):
-    """Read a run file into (header, spectrum of its SDD self-triggers
-    outside veto coincidences); ``response=None`` bins raw channels."""
+    """Read a run file into (header, spectrum of its records that pass
+    the analysis cut); ``response=None`` bins raw channels.  The records
+    are dropped on return, so one run's bytes are held at a time."""
     header, events = read_run(path)
-    kept = select_events(events, trigger_filter=TRIGGER_SDD,
-                         veto_policy=REJECT_VETO_COINCIDENCE)
-    spec = histogram(kept, response=response, bins=bins, lo=lo, hi=hi,
-                     live_time_s=float(header.live_time_s),
-                     run_ids=(header.run_id,))
-    return header, spec
+    return header, histogram(events, response, bins, lo, hi,
+                             float(header.live_time_s), (header.run_id,))
 
 
 def cmd_simulate(args, cfg, out: Path) -> int:
@@ -185,11 +181,11 @@ def cmd_analyze(args, cfg, out: Path) -> int:
 
 def cmd_limit(args, cfg, out: Path) -> int:
     record = limits_mod.parse_analysis_report(
-        Path(args.analysis).read_text())
+        config_mod.read_text(args.analysis))
     efficiency = cfg.limit.efficiency
     if args.efficiency_file:
         efficiency = parse_efficiency_report(
-            Path(args.efficiency_file).read_text()).efficiency
+            config_mod.read_text(args.efficiency_file)).efficiency
     result = limits_mod.compute_limit(
         record.subtraction, record.on_run, cfg.constants, efficiency,
         n_sigma=args.nsigma if args.nsigma is not None else cfg.limit.n_sigma,
@@ -208,7 +204,7 @@ def cmd_limit(args, cfg, out: Path) -> int:
 def cmd_project(args, cfg, out: Path) -> int:
     if args.analysis:
         record = limits_mod.parse_analysis_report(
-            Path(args.analysis).read_text())
+            config_mod.read_text(args.analysis))
         sigma = record.subtraction.delta.uncertainty
         live = record.on_run.live_time_s
         current = record.on_run.current_a

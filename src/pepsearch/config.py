@@ -11,7 +11,7 @@ zero-area plates) are allowed so efficiency studies can express them.
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
 
@@ -245,7 +245,10 @@ def _parse(parser: configparser.ConfigParser, origin: str) -> AnalysisConfig:
     injection = InjectionConfig(beta2_over_2=sec.number("beta2_over_2"),
                                 enabled=sec.boolean("enabled"))
     sec.finish()
-    if injection.enabled and "pep_forbidden" not in lines:
+    if "pep_forbidden" in lines:
+        injection = replace(injection,
+                            line_energy_ev=lines["pep_forbidden"].energy_ev)
+    elif injection.enabled:
         raise ConfigError("injection enabled but no pep_forbidden line "
                           "defined")
 
@@ -320,12 +323,24 @@ def _parse(parser: configparser.ConfigParser, origin: str) -> AnalysisConfig:
                           reference=reference)
 
 
+def read_text(path: str | Path) -> str:
+    """A text input of the pipeline: config, response file or artifact.
+
+    Bytes that are not UTF-8 are a ConfigError naming the file.
+    """
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path} is not UTF-8 text (byte {exc.start})") \
+            from None
+
+
 def load_config(path: str | Path) -> AnalysisConfig:
     """Load and validate an analysis configuration file."""
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file {path} does not exist")
-    return _parse(_read_parser(path.read_text(), str(path)), str(path))
+    return _parse(_read_parser(read_text(path), str(path)), str(path))
 
 
 def load_config_text(text: str, origin: str = "<string>") -> AnalysisConfig:
@@ -347,7 +362,7 @@ def load_response_file(path: str | Path) -> ResponseModel:
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"response file {path} does not exist")
-    parser = _read_parser(path.read_text(), str(path))
+    parser = _read_parser(read_text(path), str(path))
     if "response" not in parser.sections():
         raise ConfigError(f"{path} has no [response] section")
     return _response(Section("[response]", dict(parser.items("response"))))

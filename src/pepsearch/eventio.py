@@ -1,4 +1,4 @@
-"""Binary run-file format, event filtering and spectrum histogramming.
+"""Binary run-file format and the cut-and-count spectrum of a run.
 
 File layout (all integers little-endian, fixed width, no padding):
 
@@ -25,11 +25,11 @@ A record has sdd_id == 255 exactly when bit0 of trigger_flags is clear.
 
 from __future__ import annotations
 
-import io
+import os
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from pathlib import Path
-from typing import BinaryIO, Iterable
+from typing import BinaryIO
 
 import numpy as np
 
@@ -60,9 +60,6 @@ RECORD_SIZE = EVENT_DTYPE.itemsize
 
 _HEAD_FIXED = struct.Struct("<4sHH")          # magic, version, run_id_len
 _HEAD_TAIL = struct.Struct("<IQBQ")           # current_ma, live_time_s, on, count
-
-KEEP_ALL = "keep-all"
-REJECT_VETO_COINCIDENCE = "reject-veto-coincidence"
 
 
 @dataclass(frozen=True)
@@ -153,16 +150,18 @@ def write_run(header: RunHeader, events: np.ndarray,
 def read_run(source: BinaryIO | bytes | str | Path) -> tuple[RunHeader, np.ndarray]:
     """Parse a run file, validating structure and record invariants.
 
-    Returns the header and the full record array.  Raises a FormatError
-    subclass naming the failing byte offset on any structural problem.
+    Returns the header and the full, writable record array, a view of
+    the one buffer the file is read into.  Raises a FormatError subclass
+    naming the failing byte offset on any structural problem.
     """
     if isinstance(source, (str, Path)):
         with open(source, "rb") as fh:
-            data = fh.read()
+            data = bytearray(os.fstat(fh.fileno()).st_size)
+            del data[fh.readinto(data):]
     elif isinstance(source, (bytes, bytearray)):
-        data = bytes(source)
+        data = bytearray(source)
     else:
-        data = source.read()
+        data = bytearray(source.read())
 
     if len(data) < _HEAD_FIXED.size:
         raise TruncatedFileError("file ends inside the fixed header",
@@ -201,28 +200,10 @@ def read_run(source: BinaryIO | bytes | str | Path) -> tuple[RunHeader, np.ndarr
     if body > expected:
         raise FormatError(f"{body - expected} trailing bytes after the last "
                           "declared record", offset=pos + expected)
-    events = np.frombuffer(data[pos:pos + expected], dtype=EVENT_DTYPE).copy()
+    events = np.frombuffer(data, dtype=EVENT_DTYPE, count=event_count,
+                           offset=pos)
     validate_records(events, base_offset=pos)
     return header, events
-
-
-def select_events(events: np.ndarray, trigger_filter: int | None = None,
-                  veto_policy: str = REJECT_VETO_COINCIDENCE) -> np.ndarray:
-    """Filter records by trigger mask and veto policy.
-
-    ``trigger_filter`` keeps records having all the given flag bits set
-    (None keeps everything).  ``reject-veto-coincidence`` additionally
-    drops records with both veto-layer bits set; ``keep-all`` is identity.
-    """
-    if veto_policy not in (KEEP_ALL, REJECT_VETO_COINCIDENCE):
-        raise DomainError(f"unknown veto policy {veto_policy!r}")
-    keep = np.ones(len(events), dtype=bool)
-    flags = events["trigger_flags"]
-    if trigger_filter is not None:
-        keep &= (flags & trigger_filter) == trigger_filter
-    if veto_policy == REJECT_VETO_COINCIDENCE:
-        keep &= (flags & VETO_COINCIDENCE) != VETO_COINCIDENCE
-    return events[keep]
 
 
 @dataclass(frozen=True)
@@ -232,7 +213,8 @@ class Spectrum:
     ``lo``/``hi`` are the outer bin edges; channel-axis spectra use
     half-integer edges so bin centers are whole channel numbers.
     Under/overflow events are tallied separately so that
-    ``counts.sum() + underflow + overflow`` equals the event count.
+    ``counts.sum() + underflow + overflow`` equals the number of records
+    counted.
     """
 
     kind: str                      # "channel" | "energy"
@@ -240,7 +222,6 @@ class Spectrum:
     hi: float
     counts: np.ndarray
     live_time_s: float = 0.0
-    detector_selection: frozenset[int] = frozenset()
     run_ids: tuple[str, ...] = ()
     underflow: int = 0
     overflow: int = 0
@@ -270,65 +251,37 @@ class Spectrum:
         edges = self.bin_edges
         return 0.5 * (edges[:-1] + edges[1:])
 
-    def merge(self, other: "Spectrum") -> "Spectrum":
-        """Combine two spectra with identical binning; live times add."""
-        if (self.kind, self.lo, self.hi, self.nbins) != \
-                (other.kind, other.lo, other.hi, other.nbins):
-            raise DomainError("cannot merge spectra with different binning")
-        return Spectrum(
-            kind=self.kind, lo=self.lo, hi=self.hi,
-            counts=self.counts + other.counts,
-            live_time_s=self.live_time_s + other.live_time_s,
-            detector_selection=self.detector_selection | other.detector_selection,
-            run_ids=tuple(sorted(set(self.run_ids) | set(other.run_ids))),
-            underflow=self.underflow + other.underflow,
-            overflow=self.overflow + other.overflow)
 
-    def __add__(self, other: "Spectrum") -> "Spectrum":
-        return self.merge(other)
-
-
-def histogram(events: np.ndarray, response: ResponseModel | None = None,
-              bins: int | None = None, lo: float | None = None,
-              hi: float | None = None,
-              detectors: Iterable[int] | None = None,
-              live_time_s: float = 0.0,
+def histogram(events: np.ndarray, response: ResponseModel | None,
+              bins: int, lo: float, hi: float, live_time_s: float = 0.0,
               run_ids: tuple[str, ...] = ()) -> Spectrum:
-    """Histogram event amplitudes into a Spectrum.
+    """Spectrum of the records that pass the analysis cut.
 
-    With a ResponseModel the axis is energy in eV (events binned at
-    ``offset + gain * adc``, default 1 eV bins over 2000-12000 eV); with
-    ``response=None`` the axis is the raw channel number, defaulting to
-    one bin per channel over the full 16-bit range.
+    The cut keeps SDD self-triggers outside veto coincidences (both veto
+    layers fired).  Their amplitudes are counted per ADC channel, and
+    the channel table is binned on the axis: raw channel numbers with
+    ``response=None``, otherwise energy in eV (``response.energy_of``).
+    The axis is half-open [lo, hi); what falls outside is tallied as
+    under/overflow.
     """
-    if response is None:
-        kind = "channel"
-        nbins = 65536 if bins is None else bins
-        lo_ = -0.5 if lo is None else lo
-        hi_ = 65535.5 if hi is None else hi
-    else:
-        kind = "energy"
-        nbins = 10000 if bins is None else bins
-        lo_ = 2000.0 if lo is None else lo
-        hi_ = 12000.0 if hi is None else hi
-    if nbins <= 0:
+    if bins <= 0:
         raise DomainError("bins must be positive")
-    if detectors is not None:
-        det = frozenset(int(d) for d in detectors)
-        events = events[np.isin(events["sdd_id"], sorted(det))]
-    else:
-        det = frozenset(range(SDD_COUNT))
-
-    adc = events["adc"].astype(np.float64)
-    values = adc if response is None else response.energy_of(adc)
+    flags = events["trigger_flags"]
+    keep = ((flags & TRIGGER_SDD) != 0) \
+        & ((flags & VETO_COINCIDENCE) != VETO_COINCIDENCE)
+    table = np.bincount(events["adc"][keep], minlength=65536)  # u16 adc
+    values = np.arange(table.size, dtype=np.float64)
+    if response is not None:
+        values = response.energy_of(values)
     # keep the axis half-open: np.histogram would close the last bin
-    inside = (values >= lo_) & (values < hi_)
-    counts, _ = np.histogram(values[inside], bins=nbins, range=(lo_, hi_))
-    underflow = int((values < lo_).sum())
-    overflow = int((values >= hi_).sum())
-    return Spectrum(kind=kind, lo=lo_, hi=hi_, counts=counts,
-                    live_time_s=live_time_s, detector_selection=det,
-                    run_ids=run_ids, underflow=underflow, overflow=overflow)
+    inside = (values >= lo) & (values < hi)
+    counts, _ = np.histogram(values[inside], bins=bins, range=(lo, hi),
+                             weights=table[inside])
+    return Spectrum(kind="channel" if response is None else "energy",
+                    lo=lo, hi=hi, counts=counts,
+                    live_time_s=live_time_s, run_ids=run_ids,
+                    underflow=int(table[values < lo].sum()),
+                    overflow=int(table[values >= hi].sum()))
 
 
 def export_spectrum(spec: Spectrum, destination: BinaryIO | str | Path) -> None:
@@ -341,7 +294,7 @@ def export_spectrum(spec: Spectrum, destination: BinaryIO | str | Path) -> None:
         f"# range: {spec.lo} {spec.hi}",
         f"# bins: {spec.nbins}",
         f"# live_time_s: {spec.live_time_s}",
-        f"# detectors: {','.join(str(d) for d in sorted(spec.detector_selection))}",
+        f"# detectors: {','.join(str(d) for d in range(SDD_COUNT))}",
         f"# run_ids: {','.join(spec.run_ids)}",
         f"# underflow: {spec.underflow}",
         f"# overflow: {spec.overflow}",

@@ -118,13 +118,15 @@ class SubtractionResult:
     normalization_factor: float
     error_mode: str
 
+    def __post_init__(self):
+        if self.error_mode not in ERROR_MODES:
+            raise DomainError(f"unknown error_mode {self.error_mode!r}")
+
 
 def subtract(on: Measurement, off_normalized: Measurement,
              normalization_factor: float = 1.0,
              error_mode: str = ERROR_MODE_PAPER) -> SubtractionResult:
     """Subtract two same-footing counts; uncertainties add in quadrature."""
-    if error_mode not in ERROR_MODES:
-        raise DomainError(f"unknown error mode {error_mode!r}")
     delta = Measurement(
         on.value - off_normalized.value,
         math.hypot(on.uncertainty, off_normalized.uncertainty))

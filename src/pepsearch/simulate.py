@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (SDD_COUNT, EmissionLine, PhysicsConstants, ResponseModel,
-                   RunMeta, line_lookup)
+from .core import (PEP_LINE_ENERGY_EV, SDD_COUNT, EmissionLine,
+                   PhysicsConstants, ResponseModel, RunMeta)
 from .errors import DomainError
 from .eventio import (EVENT_DTYPE, QDC_CHANNELS, RunHeader, TRIGGER_SDD,
                       TRIGGER_VETO_INNER, TRIGGER_VETO_OUTER)
@@ -94,10 +94,11 @@ class SourceModel:
 
 @dataclass(frozen=True)
 class InjectionConfig:
-    """Strength of the simulated violation signal."""
+    """Strength and energy of the simulated violation signal."""
 
     beta2_over_2: float = 0.0
     enabled: bool = False
+    line_energy_ev: float = PEP_LINE_ENERGY_EV
 
     def __post_init__(self):
         if self.beta2_over_2 < 0:
@@ -231,13 +232,12 @@ def simulate_run(source: SourceModel, inj: InjectionConfig,
     rng = np.random.default_rng(streams[len(source.lines) + 3])
     lam = expected_violation_counts(inj, run, consts, efficiency)
     if lam > 0:
-        pep = line_lookup()["pep_forbidden"]
-        f = roi_containment(response, roi, pep.energy_ev)
+        f = roi_containment(response, roi, inj.line_energy_ev)
         if f < 1e-6:
             raise DomainError("ROI does not contain the violation line; "
                               "cannot normalize the injected signal")
         n = int(rng.poisson(lam / f))
-        emit("violation", rng, lam / f, np.full(n, pep.energy_ev))
+        emit("violation", rng, lam / f, np.full(n, inj.line_energy_ev))
     else:
         emit("violation", rng, 0.0, np.empty(0))
 

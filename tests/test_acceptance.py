@@ -36,12 +36,9 @@ def criterion(number: int, name: str):
 
 def roi_count(cfg, events, live_time_s):
     """The counting path the analysis CLI uses, condensed."""
-    kept = eventio.select_events(events, trigger_filter=TRIGGER_SDD,
-                                 veto_policy=eventio.REJECT_VETO_COINCIDENCE)
-    spec = eventio.histogram(kept, response=cfg.response,
-                             bins=cfg.binning.bins, lo=cfg.binning.low_ev,
-                             hi=cfg.binning.high_ev,
-                             live_time_s=live_time_s)
+    spec = eventio.histogram(events, cfg.response, cfg.binning.bins,
+                             cfg.binning.low_ev, cfg.binning.high_ev,
+                             live_time_s)
     return limits.count_roi(spec, cfg.roi).value
 
 
@@ -174,13 +171,9 @@ class TestCriterion5:
                     cfg.source, cfg.injection, cfg.response,
                     cfg.limit.efficiency, day_run, cfg.constants, cfg.roi,
                     seed)
-                kept = eventio.select_events(
-                    events, trigger_filter=TRIGGER_SDD,
-                    veto_policy=eventio.REJECT_VETO_COINCIDENCE)
                 raw = eventio.histogram(
-                    kept, bins=cfg.response.channel_count, lo=-0.5,
-                    hi=cfg.response.channel_count - 0.5,
-                    live_time_s=day_run.live_time_s)
+                    events, None, cfg.response.channel_count, -0.5,
+                    cfg.response.channel_count - 0.5, day_run.live_time_s)
                 result, _ = calibrate.calibrate_spectrum(
                     raw, anchors, checks,
                     expected_fwhm_ev=cfg.response.fwhm_at_reference_ev,

@@ -1,5 +1,6 @@
 """End-to-end checks of the command-line pipeline."""
 
+import hashlib
 import math
 
 import pytest
@@ -13,6 +14,29 @@ from pepsearch.eventio import read_run
 # the published operating point so reproduce-paper still passes
 ON_SMALL_S = 259_200
 OFF_SMALL_S = 172_800
+
+# sha256 of the artifacts of simulate --seed 5 on the small config, then
+# calibrate, analyze with the configured response and limit; a change
+# here is a change of output bytes.  calibration.txt and response.cfg are
+# left out: their fit digits may differ between scipy builds.
+PINNED_SHA256 = {
+    "on-100A-34d.run":
+        "46247006940bac34429d8b46d5629a3d743b88823642d94cb1cd0bac24abcb3d",
+    "off-0A-28d.run":
+        "c9d1e1a3a81f56adfb5fc20fbecff326a80d91d29b11e9d75936c89a1185b9c1",
+    "on-100A-34d_generation.txt":
+        "ef34e6a5678fd6e0e8c72ec8d7c7462e647cb39d1afb67d1506d6bc0d68c028f",
+    "off-0A-28d_generation.txt":
+        "344319da767b30f9cc2755bb5044685fc143ed6b1a54d9ec1fdc22a243b9ccd5",
+    "spectrum_on.txt":
+        "a0d6668bad0504dafd6ccf1501d8f3ecce2268bc67ef8127d03472758a253cda",
+    "spectrum_off.txt":
+        "3ead7bfd5633a1b16bdd615114c46a7a42b423e23178a870ebce50a43b3b9810",
+    "analysis.txt":
+        "50066d5d121b0bd48b34df775c30c579fc81c5fcd92500c9959c123f7792c4e0",
+    "limit.txt":
+        "5e27fdf46861929edea607d7ff64fef84016bb35160f6be1313d5720bf000dea",
+}
 
 
 def small_config_text():
@@ -36,6 +60,22 @@ def small_cfg_path(tmp_path_factory):
 @pytest.fixture(scope="module")
 def small_cfg():
     return config.load_config_text(small_config_text())
+
+
+def artifact_texts(cfg):
+    """Valid analysis.txt and efficiency.txt texts, keyed by file name."""
+    record = limits.AnalysisRecord(
+        subtraction=limits.subtract(limits.Measurement(2222.0, 47.0),
+                                    limits.Measurement(2181.0, 47.0)),
+        n_off_raw=limits.Measurement(1796.0, 42.0),
+        on_run=cfg.run_on, off_live_time_s=cfg.run_off.live_time_s,
+        roi=cfg.roi)
+    return {
+        "analysis.txt": limits.render_analysis_report(record),
+        "efficiency.txt": render_efficiency_report(EfficiencyResult(
+            efficiency=0.01, mc_uncertainty=1e-5, samples=10_000,
+            breakdown=(0.5, 0.02, 0.9))),
+    }
 
 
 @pytest.fixture(scope="module")
@@ -111,6 +151,25 @@ class TestChain:
             off_live_time_s=record.off_live_time_s,
             on_live_time_s=record.on_run.live_time_s)
         assert (out / "limit.txt").read_text() == expected
+
+    def test_artifact_bytes_pinned(self, small_cfg_path, campaign_dir,
+                                   tmp_path):
+        out = tmp_path / "pinned"
+        shared = ["--config", str(small_cfg_path), "--output-dir", str(out)]
+        on_path = campaign_dir / "on-100A-34d.run"
+        off_path = campaign_dir / "off-0A-28d.run"
+        assert cli.main(["calibrate", "--input", str(on_path)] + shared) == 0
+        assert cli.main(["analyze", "--on", str(on_path), "--off",
+                         str(off_path)] + shared) == 0
+        assert cli.main(["limit", "--analysis",
+                         str(out / "analysis.txt")] + shared) == 0
+        digests = {}
+        for name in PINNED_SHA256:
+            path = campaign_dir / name
+            if not path.exists():
+                path = out / name
+            digests[name] = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digests == PINNED_SHA256
 
     def test_analyze_idempotent(self, small_cfg_path, campaign_dir,
                                 tmp_path):
@@ -260,26 +319,17 @@ class TestExitCodes:
     @pytest.mark.parametrize("artifact, key", [
         ("efficiency", "efficiency"),
         ("analysis", "delta_sigma"),
+        ("analysis", "error_mode"),
     ])
     def test_non_numeric_artifact_value(self, artifact, key, small_cfg,
                                         tmp_path, capsys):
-        record = limits.AnalysisRecord(
-            subtraction=limits.subtract(limits.Measurement(2222.0, 47.0),
-                                        limits.Measurement(2181.0, 47.0)),
-            n_off_raw=limits.Measurement(1796.0, 42.0),
-            on_run=small_cfg.run_on,
-            off_live_time_s=small_cfg.run_off.live_time_s, roi=small_cfg.roi)
-        texts = {
-            "analysis": limits.render_analysis_report(record),
-            "efficiency": render_efficiency_report(EfficiencyResult(
-                efficiency=0.01, mc_uncertainty=1e-5, samples=10_000,
-                breakdown=(0.5, 0.02, 0.9))),
-        }
+        texts = artifact_texts(small_cfg)
+        target = f"{artifact}.txt"
         lines = [f"{key} = x" if line.split("=")[0].strip() == key else line
-                 for line in texts[artifact].splitlines()]
-        texts[artifact] = "\n".join(lines) + "\n"
+                 for line in texts[target].splitlines()]
+        texts[target] = "\n".join(lines) + "\n"
         for name, text in texts.items():
-            (tmp_path / f"{name}.txt").write_text(text)
+            (tmp_path / name).write_text(text)
         rc = cli.main(["limit", "--analysis", str(tmp_path / "analysis.txt"),
                        "--efficiency-file", str(tmp_path / "efficiency.txt"),
                        "--output-dir", str(tmp_path)])
@@ -289,6 +339,38 @@ class TestExitCodes:
         assert "\n" not in err
         assert key in err
         assert not (tmp_path / "limit.txt").exists()
+
+    @pytest.mark.parametrize("leading", [True, False],
+                             ids=["leading", "trailing"])
+    @pytest.mark.parametrize("argv, bad", [
+        ("limit --analysis {} --efficiency-file efficiency.txt",
+         "analysis.txt"),
+        ("limit --analysis analysis.txt --efficiency-file {}",
+         "efficiency.txt"),
+        ("project --target 1e-31 --analysis {}", "analysis.txt"),
+        ("analyze --on on.run --off off.run --calibration {}",
+         "response.cfg"),
+        ("reproduce-paper --config {}", "small.cfg"),
+    ], ids=["limit-analysis", "limit-efficiency", "project-analysis",
+            "analyze-calibration", "config"])
+    def test_non_utf8_text_input(self, argv, bad, leading, small_cfg,
+                                 tmp_path, capsys, monkeypatch):
+        texts = artifact_texts(small_cfg)
+        texts["response.cfg"] = config.default_config_text()
+        texts["small.cfg"] = small_config_text()
+        for name, text in texts.items():
+            data = text.encode()
+            if name == bad:
+                data = b"\xff" + data if leading else data + b"\xff"
+            (tmp_path / name).write_bytes(data)
+        monkeypatch.chdir(tmp_path)
+        rc = cli.main(argv.format(bad).split() + ["--output-dir", "out"])
+        assert rc == 1
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("error:")
+        assert "\n" not in err
+        assert bad in err
+        assert not any((tmp_path / "out").glob("*.txt"))
 
     def test_truncated_run_file(self, small_cfg_path, campaign_dir,
                                 tmp_path, capsys):

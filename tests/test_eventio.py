@@ -60,6 +60,7 @@ class TestRoundTrip:
         header, out = eventio.read_run(path)
         assert np.array_equal(out, ev)
         assert header.run_id == "test-run"
+        assert out.flags.writeable
 
     def test_header_meta_round_trip(self):
         meta = core.RunMeta("r1", 100.0, 2937600.0, True)
@@ -172,45 +173,74 @@ class TestReadErrors:
 
 
 class TestSelectEvents:
-    def test_keep_all_identity(self):
-        ev = make_events(50)
-        out = eventio.select_events(ev, veto_policy=eventio.KEEP_ALL)
-        assert np.array_equal(out, ev)
+    """The analysis cut that histogram applies before counting."""
+
+    @staticmethod
+    def counted(ev):
+        spec = eventio.histogram(ev, None, 100, -0.5, 99.5)
+        return int(spec.counts.sum()) + spec.underflow + spec.overflow
 
     def test_all_coincidence_rejected(self):
         ev = make_events(20)
         ev["trigger_flags"] |= eventio.VETO_COINCIDENCE
-        out = eventio.select_events(
-            ev, veto_policy=eventio.REJECT_VETO_COINCIDENCE)
-        assert len(out) == 0
+        assert self.counted(ev) == 0
 
     def test_mixed_stream_count(self):
         rng = np.random.default_rng(5)
         ev = make_events(400, rng=rng)
         tagged = rng.random(400) < 0.3
         ev["trigger_flags"][tagged] |= eventio.VETO_COINCIDENCE
-        out = eventio.select_events(
-            ev, veto_policy=eventio.REJECT_VETO_COINCIDENCE)
+        # one veto layer alone does not reject
+        ev["trigger_flags"][~tagged & (rng.random(400) < 0.3)] |= \
+            eventio.TRIGGER_VETO_INNER
         both = (ev["trigger_flags"] & eventio.VETO_COINCIDENCE) \
             == eventio.VETO_COINCIDENCE
-        assert len(out) == len(ev) - int(both.sum())
+        assert self.counted(ev) == len(ev) - int(both.sum())
 
     def test_trigger_mask(self):
         ev = make_events(10)
         ev["trigger_flags"][:4] = eventio.TRIGGER_VETO_INNER
         ev["sdd_id"][:4] = eventio.VETO_ONLY_SDD_ID
-        out = eventio.select_events(ev, trigger_filter=eventio.TRIGGER_SDD,
-                                    veto_policy=eventio.KEEP_ALL)
-        assert len(out) == 6
+        assert self.counted(ev) == 6
 
-    def test_unknown_policy(self):
-        with pytest.raises(DomainError):
-            eventio.select_events(make_events(1), veto_policy="whatever")
+
+def event_histogram(ev, response, bins, lo, hi):
+    """Reference: cut, then bin every record's value on its own."""
+    flags = ev["trigger_flags"]
+    kept = ev[((flags & eventio.TRIGGER_SDD) != 0)
+              & ((flags & eventio.VETO_COINCIDENCE)
+                 != eventio.VETO_COINCIDENCE)]
+    adc = kept["adc"].astype(np.float64)
+    values = adc if response is None else response.energy_of(adc)
+    inside = (values >= lo) & (values < hi)
+    counts, _ = np.histogram(values[inside], bins=bins, range=(lo, hi))
+    return counts, int((values < lo).sum()), int((values >= hi).sum())
 
 
 class TestHistogram:
+    @pytest.mark.parametrize("gain, offset", [
+        (None, None), (1.0, 0.0), (0.9987, 3.21), (2.5, -100.0),
+        (1.0003, -0.7)])
+    def test_channel_table_matches_event_reference(self, gain, offset):
+        rng = np.random.default_rng(17)
+        ev = make_events(200_000, rng=rng)
+        ev["adc"] = rng.integers(0, 65536, size=len(ev))
+        tagged = rng.random(len(ev)) < 0.1
+        ev["trigger_flags"][tagged] |= eventio.VETO_COINCIDENCE
+        if gain is None:
+            response, axis = None, (65536, -0.5, 65535.5)
+        else:
+            response = core.ResponseModel(gain_ev_per_channel=gain,
+                                          offset_ev=offset,
+                                          channel_count=65536)
+            axis = (10000, 2000.0, 12000.0)
+        spec = eventio.histogram(ev, response, *axis)
+        counts, under, over = event_histogram(ev, response, *axis)
+        assert np.array_equal(spec.counts, counts)
+        assert (spec.underflow, spec.overflow) == (under, over)
+
     def test_empty_events(self):
-        spec = eventio.histogram(make_events(0), bins=100, lo=-0.5, hi=99.5)
+        spec = eventio.histogram(make_events(0), None, 100, -0.5, 99.5)
         assert spec.counts.sum() == 0
         assert spec.nbins == 100
 
@@ -229,7 +259,7 @@ class TestHistogram:
         rng = np.random.default_rng(11)
         ev = make_events(100_000, rng=rng)
         ev["adc"] = rng.integers(0, 1000, size=100_000)
-        spec = eventio.histogram(ev, bins=100, lo=-0.5, hi=999.5)
+        spec = eventio.histogram(ev, None, 100, -0.5, 999.5)
         assert spec.counts.sum() == 100_000
         assert np.all(np.abs(spec.counts - 1000) < 5 * np.sqrt(1000))
 
@@ -238,28 +268,24 @@ class TestHistogram:
         ev["adc"][:3] = 5
         ev["adc"][3:5] = 900
         ev["adc"][5:] = 500
-        spec = eventio.histogram(ev, bins=10, lo=99.5, hi=899.5)
+        spec = eventio.histogram(ev, None, 10, 99.5, 899.5)
         assert spec.underflow == 3
         assert spec.overflow == 2
         assert spec.counts.sum() + spec.underflow + spec.overflow == 10
 
     def test_channel_defaults(self):
+        # the full 16-bit channel axis: one bin per channel, ends included
         ev = make_events(100)
-        spec = eventio.histogram(ev)
+        ev["adc"][:2] = (0, 65535)
+        spec = eventio.histogram(ev, None, 65536, -0.5, 65535.5)
         assert spec.kind == "channel"
         assert spec.nbins == 65536
         assert spec.counts.sum() == 100
+        assert spec.counts[0] >= 1 and spec.counts[-1] == 1
 
     def test_zero_bins_rejected(self):
         with pytest.raises(DomainError):
-            eventio.histogram(make_events(1), bins=0, lo=0.0, hi=1.0)
-
-    def test_detector_selection(self):
-        ev = make_events(60)
-        ev["sdd_id"] = np.arange(60) % 6
-        spec = eventio.histogram(ev, detectors=(0, 1))
-        assert spec.counts.sum() == 20
-        assert spec.detector_selection == frozenset((0, 1))
+            eventio.histogram(make_events(1), None, 0, 0.0, 1.0)
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(min_value=0, max_value=300),
@@ -267,7 +293,7 @@ class TestHistogram:
     def test_sum_invariant(self, n, seed):
         rng = np.random.default_rng(seed)
         ev = make_events(n, rng=rng)
-        spec = eventio.histogram(ev, bins=50, lo=1999.5, hi=12000.5)
+        spec = eventio.histogram(ev, None, 50, 1999.5, 12000.5)
         assert spec.counts.sum() + spec.underflow + spec.overflow == n
 
 
@@ -276,27 +302,6 @@ class TestSpectrumAlgebra:
         return eventio.Spectrum(kind="energy", lo=0.0, hi=10.0,
                                 counts=np.asarray(counts), live_time_s=live,
                                 run_ids=(run_id,))
-
-    def test_merge_commutative_associative(self):
-        a = self._spec([1, 2, 3], 10.0, "a")
-        b = self._spec([4, 0, 1], 20.0, "b")
-        c = self._spec([2, 2, 2], 5.0, "c")
-        ab = a + b
-        ba = b + a
-        assert np.array_equal(ab.counts, ba.counts)
-        assert ab.live_time_s == ba.live_time_s == 30.0
-        left = (a + b) + c
-        right = a + (b + c)
-        assert np.array_equal(left.counts, right.counts)
-        assert left.live_time_s == right.live_time_s
-        assert left.run_ids == right.run_ids == ("a", "b", "c")
-
-    def test_merge_binning_mismatch(self):
-        a = self._spec([1, 2, 3], 1.0, "a")
-        bad = eventio.Spectrum(kind="energy", lo=0.0, hi=20.0,
-                               counts=np.array([1, 2, 3]))
-        with pytest.raises(DomainError):
-            a.merge(bad)
 
     def test_negative_counts_rejected(self):
         with pytest.raises(DomainError):

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from pepsearch import core, eventio, limits, simulate
+from pepsearch import config, core, eventio, limits, simulate
 from pepsearch.errors import DomainError
 
 LAMBDA_REF = 4.2e-29 * (100.0 * 34 * 86400 / 1.602e-19) \
@@ -14,11 +14,8 @@ LAMBDA_REF = 4.2e-29 * (100.0 * 34 * 86400 / 1.602e-19) \
 
 
 def roi_count(events, cfg, live):
-    kept = eventio.select_events(events, trigger_filter=eventio.TRIGGER_SDD,
-                                 veto_policy=eventio.REJECT_VETO_COINCIDENCE)
-    spec = eventio.histogram(kept, response=cfg.response,
-                             bins=cfg.binning.bins, lo=cfg.binning.low_ev,
-                             hi=cfg.binning.high_ev, live_time_s=live)
+    spec = eventio.histogram(events, cfg.response, cfg.binning.bins,
+                             cfg.binning.low_ev, cfg.binning.high_ev, live)
     return limits.count_roi(spec, cfg.roi).value
 
 
@@ -202,6 +199,25 @@ class TestSimulateRun:
             cfg.roi, 4)
         assert tally_by_name(tallies_off, "violation").expected == 0.0
         assert tally_by_name(tallies_off, "violation").sampled == 0
+
+    def test_configured_violation_energy(self):
+        assert simulate.InjectionConfig().line_energy_ev \
+            == core.line_lookup()["pep_forbidden"].energy_ev
+        text = config.default_config_text().replace(
+            "[line.pep_forbidden]\nenergy_ev = 7729.0",
+            "[line.pep_forbidden]\nenergy_ev = 7700.0")
+        moved = config.load_config_text(text)
+        assert moved.injection.line_energy_ev == 7700.0
+        # a source that emits nothing: every event is an injected photon
+        inj = dataclasses.replace(moved.injection, beta2_over_2=1e-27)
+        _, events, _ = simulate.simulate_run(
+            simulate.SourceModel(), inj, moved.response, 0.01, moved.run_on,
+            moved.constants, moved.roi, 6)
+        n = len(events)
+        assert n > 1000
+        sigma_ch = moved.response.sigma_ev / moved.response.gain_ev_per_channel
+        expect = moved.response.channel_of(7700.0)
+        assert abs(events["adc"].mean() - expect) < 5 * sigma_ch / math.sqrt(n)
 
     def test_paired_injection_excess(self, cfg, quiet_source, no_injection):
         inj = simulate.InjectionConfig(beta2_over_2=4.2e-29, enabled=True)
