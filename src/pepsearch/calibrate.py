@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize, signal
 
 from .core import FWHM_OVER_SIGMA, ResponseModel
 from .errors import CalibrationError, FitError
@@ -34,6 +33,7 @@ def find_peaks(raw: Spectrum, min_prominence: float, expected_count: int,
     than the smoothing width are not resolvable and collapse to the
     more prominent one.
     """
+    from scipy import signal   # ~1 s to load; only calibrate needs scipy
     if expected_count < 1:
         raise CalibrationError("expected_count must be at least 1")
     counts = raw.counts.astype(np.float64)
@@ -98,6 +98,7 @@ def _fit_window(raw: Spectrum, lo: float, hi: float, start) -> list[PeakFit]:
     peaks share the window's reduced chi-square and come back ordered by
     centroid.
     """
+    from scipy import optimize
     centers = raw.bin_centers
     sel = (centers >= lo) & (centers <= hi)
     x = centers[sel]

@@ -88,6 +88,7 @@ def cmd_simulate(args, cfg, out: Path) -> int:
         run_path = out / f"{header.run_id}.run"
         with _atomic_write(run_path) as fh:
             write_run(header, events, fh)
+        del events      # free this run before the next is generated
         report = simulate_mod.render_generation_report(header, tallies,
                                                        seed=args.seed)
         with _atomic_write(out / f"{header.run_id}_generation.txt") as fh:

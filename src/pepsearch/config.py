@@ -11,6 +11,7 @@ zero-area plates) are allowed so efficiency studies can express them.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
@@ -264,6 +265,13 @@ def _parse(parser: configparser.ConfigParser, origin: str) -> AnalysisConfig:
     sec.finish()
     if roi.low_ev < binning.low_ev or roi.high_ev > binning.high_ev:
         raise ConfigError("ROI extends outside the binning range")
+    width = (binning.high_ev - binning.low_ev) / binning.bins
+    for key, edge in (("low_ev", roi.low_ev), ("high_ev", roi.high_ev)):
+        # count_roi takes whole bins by centre: an edge inside a bin moves it
+        k = round((edge - binning.low_ev) / width)
+        if not math.isclose(edge, binning.low_ev + k * width, rel_tol=1e-9):
+            raise ConfigError(f"[roi] {key} = {edge} does not lie on a "
+                              f"[binning] bin edge (bin width {width:g} eV)")
 
     def parse_run(name: str) -> RunMeta:
         sec = take(name)

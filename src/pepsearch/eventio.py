@@ -136,7 +136,8 @@ def write_run(header: RunHeader, events: np.ndarray,
         raise FormatError("events are not sorted by timestamp")
     head = _encode_header(header)
     validate_records(events, base_offset=len(head))
-    payload = events.tobytes()
+    # written from the array's own buffer; only a strided input is copied
+    payload = memoryview(np.ascontiguousarray(events)).cast("B")
     if isinstance(destination, (str, Path)):
         with open(destination, "wb") as fh:
             fh.write(head)

@@ -20,6 +20,7 @@ as an ROI-level detection efficiency.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -135,12 +136,17 @@ class ComponentTally:
     sampled: int
 
 
+# a record without the QDC charges, which only veto-tagged muons carry
+_NARROW = np.dtype([(name, EVENT_DTYPE[name]) for name in EVENT_DTYPE.names
+                    if name != "qdc"])
+
+
 def _photon_records(rng: np.random.Generator, live_time_s: float,
                     energies: np.ndarray,
                     response: ResponseModel) -> tuple[np.ndarray, int, int]:
     """Common event-building path: smear, digitize, assign detector."""
     n = len(energies)
-    events = np.zeros(n, dtype=EVENT_DTYPE)
+    events = np.zeros(n, dtype=_NARROW)
     if n == 0:
         return events, 0, 0
     times = rng.uniform(0.0, live_time_s, n)
@@ -219,15 +225,15 @@ def simulate_run(source: SourceModel, inj: InjectionConfig,
         if source.muon_rate_hz > 0 else 0
     muons = emit("muons", rng, source.muon_rate_hz * live,
                  cont.sample(rng, n))
+    charges = np.zeros((0, 2), np.int64)
     if n > 0:
         tagged = rng.random(n) < source.veto_tag_probability
         muons["trigger_flags"][tagged] |= (TRIGGER_VETO_INNER
                                            | TRIGGER_VETO_OUTER)
-        qdc = muons["qdc"]
-        hit = int(tagged.sum())
-        qdc[tagged, 0] = rng.integers(_QDC_MIN, _QDC_MAX + 1, hit)
-        qdc[tagged, QDC_CHANNELS // 2] = rng.integers(_QDC_MIN, _QDC_MAX + 1,
-                                                      hit)
+        # the stable sort below keeps the tagged muons in time order
+        by_time = np.argsort(muons["timestamp_ns"][tagged], kind="stable")
+        charges = rng.integers(_QDC_MIN, _QDC_MAX + 1,
+                               (2, len(by_time))).T[by_time]
 
     rng = np.random.default_rng(streams[len(source.lines) + 3])
     lam = expected_violation_counts(inj, run, consts, efficiency)
@@ -241,11 +247,16 @@ def simulate_run(source: SourceModel, inj: InjectionConfig,
     else:
         emit("violation", rng, 0.0, np.empty(0))
 
-    events = np.concatenate(parts) if parts else np.zeros(0, EVENT_DTYPE)
-    # stable tiebreak on the concatenation index keeps equal-timestamp
-    # ordering independent of how components are generated
-    order = np.lexsort((np.arange(len(events)), events["timestamp_ns"]))
-    events = events[order]
+    narrow = np.concatenate(parts)
+    parts.clear()       # free the components before the sorted copy
+    # a stable sort breaks timestamp ties by concatenation index, so the
+    # order of equal-timestamp events does not depend on the generators
+    narrow = narrow[np.argsort(narrow["timestamp_ns"], kind="stable")]
+    events = np.zeros(len(narrow), EVENT_DTYPE)
+    for name in _NARROW.names:
+        events[name] = narrow[name]
+    rows = np.flatnonzero(events["trigger_flags"] & TRIGGER_VETO_INNER)
+    events["qdc"][rows[:, None], [0, QDC_CHANNELS // 2]] = charges
     tallies.append(ComponentTally("clamped_low", 0.0, clamped_low))
     tallies.append(ComponentTally("clamped_high", 0.0, clamped_high))
     header = RunHeader.from_meta(run, len(events))
@@ -285,23 +296,21 @@ def simulate_campaign(source: SourceModel, inj: InjectionConfig,
                       on_run: RunMeta, off_run: RunMeta,
                       consts: PhysicsConstants, roi: RoiDefinition,
                       seed: int,
-                      ) -> tuple[tuple[RunHeader, np.ndarray,
-                                       tuple[ComponentTally, ...]], ...]:
+                      ) -> Iterator[tuple[RunHeader, np.ndarray,
+                                          tuple[ComponentTally, ...]]]:
     """One on-run and one off-run with shared models.
 
     Injection is only ever active in the on-run (the off-run carries no
     current, so its expected violation count is zero by construction).
-    Each run uses its own child stream of the campaign seed.
+    Each run uses its own child stream of the campaign seed.  Arguments
+    are checked at once; each run is generated only when iteration reaches
+    it, so a caller that drops a run before the next holds one in memory.
     """
     if on_run.live_time_s <= 0 or off_run.live_time_s <= 0:
         raise DomainError("run durations must be positive")
     if not on_run.current_on or off_run.current_on:
         raise DomainError("campaign needs one current-on and one "
                           "current-off run")
-    on_seed, off_seed = np.random.SeedSequence(seed).spawn(2)
-    on = simulate_run(source, inj, response, efficiency, on_run, consts,
-                      roi, on_seed)
-    off = simulate_run(source, inj, response, efficiency, off_run, consts,
-                       roi, off_seed)
-    return on, off
-
+    runs = zip((on_run, off_run), np.random.SeedSequence(seed).spawn(2))
+    return (simulate_run(source, inj, response, efficiency, run, consts,
+                         roi, run_seed) for run, run_seed in runs)

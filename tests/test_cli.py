@@ -2,9 +2,14 @@
 
 import hashlib
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import pepsearch
 from pepsearch import cli, config, limits
 from pepsearch.efficiency import EfficiencyResult, render_efficiency_report
 from pepsearch.eventio import read_run
@@ -403,3 +408,14 @@ class TestOutputDirPrecedence:
         rc = cli.main(["reproduce-paper"])
         assert rc == 0
         assert (env_dir / "reproduction.txt").exists()
+
+
+def test_startup_does_not_load_scipy():
+    # only calibrate fits peaks; every other command starts without scipy
+    src = Path(pepsearch.__file__).resolve().parents[1]
+    code = ("import sys, pepsearch.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True)
+    assert out.stdout.strip() == "[]"

@@ -123,6 +123,15 @@ class TestCrossChecks:
         with pytest.raises(ConfigError, match="ROI"):
             config.load_config_text(text)
 
+    def test_roi_edge_off_the_bin_grid(self):
+        # 10000 eV / 3333 bins: 7629 eV falls inside a 3.0003 eV bin
+        text = mutated("bins = 10000", "bins = 3333")
+        with pytest.raises(ConfigError, match=r"low_ev = 7629.0 .*3.0003 eV"):
+            config.load_config_text(text)
+        fine = config.load_config_text(mutated("bins = 10000",
+                                                 "bins = 100000"))
+        assert fine.binning.bins == 100000
+
     def test_strip_length_disagreement(self):
         text = mutated("[geometry]\nstrip_length_cm = 10.0",
                        "[geometry]\nstrip_length_cm = 12.0")

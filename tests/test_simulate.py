@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,51 @@ def roi_count(events, cfg, live):
     spec = eventio.histogram(events, cfg.response, cfg.binning.bins,
                              cfg.binning.low_ev, cfg.binning.high_ev, live)
     return limits.count_roi(spec, cfg.roi).value
+
+
+def reference_run(source, response, live, seed):
+    """Per-record reference generator for a source of lines and muons.
+
+    Builds each component's full 80-byte records in draw order,
+    concatenates them, sorts with ``lexsort`` and an explicit index
+    tiebreak, and permutes the records.
+    """
+    assert source.continuum.rate_hz == 0 and source.calibration_rate_hz == 0
+    streams = np.random.SeedSequence(seed).spawn(len(source.lines) + 4)
+
+    def records(rng, energies):
+        n = len(energies)
+        events = np.zeros(n, eventio.EVENT_DTYPE)
+        if n == 0:
+            return events
+        times = rng.uniform(0.0, live, n)
+        smeared = energies + response.sigma_ev * rng.standard_normal(n)
+        channels = np.clip(response.channel_of(smeared), 0,
+                           response.channel_count - 1)
+        events["timestamp_ns"] = (times * 1e9).astype(np.uint64)
+        events["trigger_flags"] = eventio.TRIGGER_SDD
+        events["sdd_id"] = rng.integers(0, core.SDD_COUNT, n)
+        events["adc"] = channels
+        events["sdd_timing_ns"] = rng.integers(-500, 501, n, dtype=np.int32)
+        return events
+
+    parts = []
+    for (line, rate), stream in zip(source.lines, streams):
+        rng = np.random.default_rng(stream)
+        n = int(rng.poisson(rate * live))
+        parts.append(records(rng, np.full(n, line.energy_ev)))
+    rng = np.random.default_rng(streams[len(source.lines) + 2])
+    n = int(rng.poisson(source.muon_rate_hz * live))
+    muons = records(rng, source.continuum.sample(rng, n))
+    tagged = rng.random(n) < source.veto_tag_probability
+    muons["trigger_flags"][tagged] |= eventio.VETO_COINCIDENCE
+    hit = int(tagged.sum())
+    muons["qdc"][tagged, 0] = rng.integers(100, 4001, hit)
+    muons["qdc"][tagged, eventio.QDC_CHANNELS // 2] = \
+        rng.integers(100, 4001, hit)
+    events = np.concatenate(parts + [muons])
+    return events[np.lexsort((np.arange(len(events)),
+                              events["timestamp_ns"]))]
 
 
 def tally_by_name(tallies, name):
@@ -231,6 +277,28 @@ class TestSimulateRun:
             - roi_count(ev_null, cfg, cfg.run_on.live_time_s)
         assert abs(excess - 198) < 3 * math.sqrt(198)
 
+    def test_tie_order_and_qdc_placement(self, cfg, no_injection):
+        # 10000 events in 1e5 ns slots: hundreds of equal timestamps, many
+        # of them involving a veto-tagged muon
+        live = 1e-4
+        src = simulate.SourceModel(
+            lines=((cfg.lines["cu_ka"], 5e7), (cfg.lines["ti_ka"], 2e7)),
+            continuum=simulate.ContinuumModel(rate_hz=0.0),
+            muon_rate_hz=3e7, veto_tag_probability=0.5)
+        run = dataclasses.replace(cfg.run_on, live_time_s=live)
+        _, events, _ = simulate.simulate_run(
+            src, no_injection, cfg.response, 0.01, run, cfg.constants,
+            cfg.roi, 13)
+        expected = reference_run(src, cfg.response, live, 13)
+        ts = events["timestamp_ns"]
+        tie = ts[1:] == ts[:-1]
+        tagged = (events["trigger_flags"] & eventio.TRIGGER_VETO_INNER) != 0
+        assert tie.sum() >= 100
+        assert (tie & (tagged[1:] | tagged[:-1])).sum() >= 20
+        assert events.dtype == expected.dtype
+        for name in eventio.EVENT_DTYPE.names:
+            assert np.array_equal(events[name], expected[name]), name
+
     def test_generation_report(self, cfg, quiet_source, no_injection):
         run = dataclasses.replace(cfg.run_on, live_time_s=86400)
         header, _, tallies = simulate.simulate_run(
@@ -280,6 +348,59 @@ class TestSimulateCampaign:
             simulate.simulate_campaign(
                 quiet_source, no_injection, cfg.response, 0.01, cfg.run_off,
                 cfg.run_on, cfg.constants, cfg.roi, 1)
+
+    def test_runs_generated_one_at_a_time(self, cfg, quiet_source,
+                                          no_injection, monkeypatch):
+        made = []
+        real = simulate.simulate_run
+        monkeypatch.setattr(simulate, "simulate_run",
+                            lambda *args: made.append(1) or real(*args))
+        runs = simulate.simulate_campaign(
+            quiet_source, no_injection, cfg.response, 0.01,
+            dataclasses.replace(cfg.run_on, live_time_s=3600),
+            dataclasses.replace(cfg.run_off, live_time_s=3600),
+            cfg.constants, cfg.roi, 1)
+        assert made == []
+        assert next(runs)[0].current_on and made == [1]
+        assert not next(runs)[0].current_on and made == [1, 1]
+
+
+class _NullSink:
+    def write(self, data):
+        return len(data)
+
+
+class TestMemoryBound:
+    """Generation holds one copy of a run's records, writing none more."""
+
+    @staticmethod
+    def traced_peak(fn):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            result = fn()
+            return result, tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    @pytest.fixture(scope="class")
+    def generated(self, cfg, no_injection):
+        run = dataclasses.replace(cfg.run_on, live_time_s=100_000)
+        return self.traced_peak(lambda: simulate.simulate_run(
+            cfg.source, no_injection, cfg.response, 0.01, run,
+            cfg.constants, cfg.roi, 9))
+
+    def test_simulate_run_peak(self, generated):
+        (_, events, _), peak = generated
+        assert len(events) >= 200_000
+        assert peak <= 2.0 * events.nbytes
+
+    def test_write_run_adds_little(self, generated):
+        (header, events, _), _ = generated
+        written, peak = self.traced_peak(
+            lambda: eventio.write_run(header, events, _NullSink()))
+        assert written == events.nbytes + len(eventio._encode_header(header))
+        assert peak <= 0.5 * events.nbytes
 
 
 class TestSourceValidation:
