@@ -281,6 +281,8 @@ def calibrate_spectrum(raw: Spectrum, anchor_lines, crosscheck_lines=(),
     `anchor_lines` and `crosscheck_lines` are sequences of EmissionLine.
     Candidate peaks are matched to lines by rank order in channel vs.
     energy, which assumes all expected lines are actually present.
+    Lines whose configured spacing, mapped through the approximate gain,
+    is under two window half-widths are fitted jointly.
     """
     wanted = tuple(anchor_lines) + tuple(crosscheck_lines)
     if len(wanted) < 2:
@@ -291,11 +293,14 @@ def calibrate_spectrum(raw: Spectrum, anchor_lines, crosscheck_lines=(),
     picked = np.sort(candidates[:len(wanted)])
     by_energy = sorted(wanted, key=lambda ln: ln.energy_ev)
     half = window_halfwidth_sigmas * sigma_ch
+    # clusters follow the configured line spacing, not the noisy candidates
+    spacing = np.diff([ln.energy_ev for ln in by_energy]) \
+        / approx_gain_ev_per_channel
 
     fits = {}
     start = 0
     for i in range(1, len(picked) + 1):
-        if i == len(picked) or picked[i] - picked[i - 1] >= 2.0 * half:
+        if i == len(picked) or spacing[i - 1] >= 2.0 * half:
             cluster_fits = _fit_cluster(raw, picked[start:i], half, sigma_ch)
             for line, peak in zip(by_energy[start:i], cluster_fits):
                 fits[line.label] = peak

@@ -225,8 +225,10 @@ class ResponseModel:
 
     def channel_of(self, energy_ev):
         """Nearest integer channel for an energy (scalar or array), unclamped."""
-        ch = np.rint((np.asarray(energy_ev) - self.offset_ev)
-                     / self.gain_ev_per_channel).astype(np.int64)
+        ch = np.array(energy_ev, dtype=np.float64)   # the one working array
+        ch -= self.offset_ev
+        ch /= self.gain_ev_per_channel
+        ch = np.rint(ch, out=ch).astype(np.int64)
         return ch if ch.ndim else int(ch)
 
 

@@ -4,23 +4,30 @@ File layout (all integers little-endian, fixed width, no padding):
 
     header:
         magic            4 bytes, b"VIP2"
-        format_version   u16        (currently 1)
+        format_version   u16        2; version-1 files (80-byte records
+                                    with 32 QDC charges) are rejected
         run_id_len       u16
         run_id           run_id_len bytes, UTF-8
         current_ma       u32        applied DC current in milliamperes
         live_time_s      u64        live time in whole seconds
         current_on       u8         0 or 1
         event_count      u64
-    records, event_count times, 80 bytes each:
+    records, event_count times, 16 bytes each:
         timestamp_ns     u64        non-decreasing within one file
         trigger_flags    u8         bit0 SDD self-trigger, bit1 veto inner,
                                     bit2 veto outer
         sdd_id           u8         0..5, or 255 for veto-only records
         adc              u16        raw amplitude channel
-        qdc              32 x u16   scintillator charges
         sdd_timing_ns    i32        SDD time relative to the trigger
 
 A record has sdd_id == 255 exactly when bit0 of trigger_flags is clear.
+The veto decision the analysis cut needs is in trigger_flags; no
+scintillator charges are stored.
+
+Memory: ``read_run`` reads a file into one buffer and returns a view of
+it, so a reader holds one copy of the records (16 bytes per event);
+``write_run`` writes from the caller's array and copies it only when it
+is not contiguous.
 """
 
 from __future__ import annotations
@@ -39,8 +46,7 @@ from .errors import (BadMagicError, DomainError, FormatError,
                      UnsupportedVersionError)
 
 MAGIC = b"VIP2"
-FORMAT_VERSION = 1
-QDC_CHANNELS = 32
+FORMAT_VERSION = 2
 
 TRIGGER_SDD = 0x01
 TRIGGER_VETO_INNER = 0x02
@@ -53,7 +59,6 @@ EVENT_DTYPE = np.dtype([
     ("trigger_flags", "u1"),
     ("sdd_id", "u1"),
     ("adc", "<u2"),
-    ("qdc", "<u2", (QDC_CHANNELS,)),
     ("sdd_timing_ns", "<i4"),
 ])
 RECORD_SIZE = EVENT_DTYPE.itemsize
@@ -102,13 +107,12 @@ def validate_records(events: np.ndarray, base_offset: int = 0) -> None:
             "violate the sdd_id/self-trigger invariant",
             offset=base_offset + i * RECORD_SIZE, record_index=i)
     ts = events["timestamp_ns"]
-    if ts.size > 1:
-        drop = np.diff(ts.astype(np.int64)) < 0
-        if drop.any():
-            i = int(np.argmax(drop)) + 1
-            raise RecordInvariantError(
-                f"record {i}: timestamp decreases",
-                offset=base_offset + i * RECORD_SIZE, record_index=i)
+    drop = ts[1:] < ts[:-1]         # compared as u64: no cast, no wrap
+    if drop.any():
+        i = int(np.argmax(drop)) + 1
+        raise RecordInvariantError(
+            f"record {i}: timestamp decreases",
+            offset=base_offset + i * RECORD_SIZE, record_index=i)
 
 
 def _encode_header(header: RunHeader) -> bytes:
@@ -131,9 +135,6 @@ def write_run(header: RunHeader, events: np.ndarray,
     if len(events) != header.event_count:
         raise FormatError(
             f"header declares {header.event_count} events, got {len(events)}")
-    ts = events["timestamp_ns"]
-    if ts.size > 1 and (np.diff(ts.astype(np.int64)) < 0).any():
-        raise FormatError("events are not sorted by timestamp")
     head = _encode_header(header)
     validate_records(events, base_offset=len(head))
     # written from the array's own buffer; only a strided input is copied

@@ -28,7 +28,7 @@ import numpy as np
 from .core import (PEP_LINE_ENERGY_EV, SDD_COUNT, EmissionLine,
                    PhysicsConstants, ResponseModel, RunMeta)
 from .errors import DomainError
-from .eventio import (EVENT_DTYPE, QDC_CHANNELS, RunHeader, TRIGGER_SDD,
+from .eventio import (EVENT_DTYPE, RunHeader, TRIGGER_SDD,
                       TRIGGER_VETO_INNER, TRIGGER_VETO_OUTER)
 from .limits import RoiDefinition, compute_n_int, compute_n_new
 
@@ -36,7 +36,6 @@ CONTINUUM_FLAT = "flat"
 CONTINUUM_EXPONENTIAL = "exponential"
 
 _TIMING_JITTER_NS = 500
-_QDC_MIN, _QDC_MAX = 100, 4000
 
 
 @dataclass(frozen=True)
@@ -136,29 +135,33 @@ class ComponentTally:
     sampled: int
 
 
-# a record without the QDC charges, which only veto-tagged muons carry
-_NARROW = np.dtype([(name, EVENT_DTYPE[name]) for name in EVENT_DTYPE.names
-                    if name != "qdc"])
-
-
 def _photon_records(rng: np.random.Generator, live_time_s: float,
                     energies: np.ndarray,
                     response: ResponseModel) -> tuple[np.ndarray, int, int]:
-    """Common event-building path: smear, digitize, assign detector."""
+    """Common event-building path: smear, digitize, assign detector.
+
+    Each temporary is worked on in place and assigned to its field
+    without an ``astype`` copy, so the float64 arrays are never copied.
+    """
     n = len(energies)
-    events = np.zeros(n, dtype=_NARROW)
+    events = np.zeros(n, dtype=EVENT_DTYPE)
     if n == 0:
         return events, 0, 0
     times = rng.uniform(0.0, live_time_s, n)
-    smeared = energies + response.sigma_ev * rng.standard_normal(n)
+    times *= 1e9
+    events["timestamp_ns"] = times
+    del times
+    smeared = rng.standard_normal(n)
+    smeared *= response.sigma_ev
+    smeared += energies
     channels = response.channel_of(smeared)
     low = int((channels < 0).sum())
     high = int((channels >= response.channel_count).sum())
-    channels = np.clip(channels, 0, response.channel_count - 1)
-    events["timestamp_ns"] = (times * 1e9).astype(np.uint64)
+    np.clip(channels, 0, response.channel_count - 1, out=channels)
+    events["adc"] = channels
+    del channels
     events["trigger_flags"] = TRIGGER_SDD
-    events["sdd_id"] = rng.integers(0, SDD_COUNT, n).astype(np.uint8)
-    events["adc"] = channels.astype(np.uint16)
+    events["sdd_id"] = rng.integers(0, SDD_COUNT, n)
     events["sdd_timing_ns"] = rng.integers(
         -_TIMING_JITTER_NS, _TIMING_JITTER_NS + 1, n, dtype=np.int32)
     return events, low, high
@@ -214,8 +217,8 @@ def simulate_run(source: SourceModel, inj: InjectionConfig,
         weights /= weights.sum()
         cal_energies = np.array([l.energy_ev
                                  for l in source.calibration_lines])
-        picks = rng.choice(len(cal_energies), size=n, p=weights)
-        energies = cal_energies[picks]
+        energies = cal_energies[rng.choice(len(cal_energies), size=n,
+                                           p=weights)]
     else:
         energies = np.empty(0)
     emit("calibration", rng, cal_rate * live, energies)
@@ -225,15 +228,8 @@ def simulate_run(source: SourceModel, inj: InjectionConfig,
         if source.muon_rate_hz > 0 else 0
     muons = emit("muons", rng, source.muon_rate_hz * live,
                  cont.sample(rng, n))
-    charges = np.zeros((0, 2), np.int64)
-    if n > 0:
-        tagged = rng.random(n) < source.veto_tag_probability
-        muons["trigger_flags"][tagged] |= (TRIGGER_VETO_INNER
-                                           | TRIGGER_VETO_OUTER)
-        # the stable sort below keeps the tagged muons in time order
-        by_time = np.argsort(muons["timestamp_ns"][tagged], kind="stable")
-        charges = rng.integers(_QDC_MIN, _QDC_MAX + 1,
-                               (2, len(by_time))).T[by_time]
+    tagged = rng.random(n) < source.veto_tag_probability
+    muons["trigger_flags"][tagged] |= TRIGGER_VETO_INNER | TRIGGER_VETO_OUTER
 
     rng = np.random.default_rng(streams[len(source.lines) + 3])
     lam = expected_violation_counts(inj, run, consts, efficiency)
@@ -247,16 +243,11 @@ def simulate_run(source: SourceModel, inj: InjectionConfig,
     else:
         emit("violation", rng, 0.0, np.empty(0))
 
-    narrow = np.concatenate(parts)
+    events = np.concatenate(parts)
     parts.clear()       # free the components before the sorted copy
     # a stable sort breaks timestamp ties by concatenation index, so the
     # order of equal-timestamp events does not depend on the generators
-    narrow = narrow[np.argsort(narrow["timestamp_ns"], kind="stable")]
-    events = np.zeros(len(narrow), EVENT_DTYPE)
-    for name in _NARROW.names:
-        events[name] = narrow[name]
-    rows = np.flatnonzero(events["trigger_flags"] & TRIGGER_VETO_INNER)
-    events["qdc"][rows[:, None], [0, QDC_CHANNELS // 2]] = charges
+    events = events[np.argsort(events["timestamp_ns"], kind="stable")]
     tallies.append(ComponentTally("clamped_low", 0.0, clamped_low))
     tallies.append(ComponentTally("clamped_high", 0.0, clamped_high))
     header = RunHeader.from_meta(run, len(events))

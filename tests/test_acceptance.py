@@ -19,9 +19,9 @@ from conftest import CRITERIA_BOARD
 from pepsearch import calibrate, eventio, limits, reference, simulate
 from pepsearch.efficiency import run_efficiency
 from pepsearch.errors import FormatError
-from pepsearch.eventio import (EVENT_DTYPE, QDC_CHANNELS, RunHeader,
-                               TRIGGER_SDD, TRIGGER_VETO_INNER,
-                               TRIGGER_VETO_OUTER, read_run, write_run)
+from pepsearch.eventio import (EVENT_DTYPE, RunHeader, TRIGGER_SDD,
+                               TRIGGER_VETO_INNER, TRIGGER_VETO_OUTER,
+                               read_run, write_run)
 
 
 @contextmanager
@@ -224,7 +224,6 @@ class TestCriterion7:
         events["sdd_id"] = np.where(veto_only, eventio.VETO_ONLY_SDD_ID,
                                     rng.integers(0, 6, n)).astype(np.uint8)
         events["adc"] = rng.integers(0, 16384, n)
-        events["qdc"] = rng.integers(0, 4096, (n, QDC_CHANNELS))
         events["sdd_timing_ns"] = rng.integers(-500, 501, n)
         return events
 

@@ -258,6 +258,29 @@ class TestCalibrateSpectrum:
                          halves[1].gain_uncertainty)
         assert dgain < 3.0 * err
 
+    def test_clusters_follow_line_energies(self, cfg):
+        # the seed-12 on-run puts the Ti Ka and Kb candidates 425 channels
+        # apart, over the 424.7-channel joint-fit threshold, although the
+        # lines are 421 eV apart; fitted alone, Ti Kb sat on the tail of
+        # Ti Ka and missed by 6.17 eV
+        header, events, _ = next(simulate.simulate_campaign(
+            cfg.source, cfg.injection, cfg.response, cfg.limit.efficiency,
+            cfg.run_on, cfg.run_off, cfg.constants, cfg.roi, 12))
+        channels = cfg.response.channel_count
+        spec = eventio.histogram(events, None, channels, -0.5,
+                                 channels - 0.5)
+        del events
+        result, fits = calibrate.calibrate_spectrum(
+            spec, [cfg.lines[label] for label in cfg.calibration.anchors],
+            [cfg.lines[label] for label in cfg.calibration.crosschecks],
+            expected_fwhm_ev=cfg.response.fwhm_at_reference_ev,
+            approx_gain_ev_per_channel=cfg.response.gain_ev_per_channel,
+            min_prominence=cfg.calibration.min_prominence,
+            window_halfwidth_sigmas=cfg.calibration.window_halfwidth_sigmas,
+            residual_threshold_ev=cfg.calibration.residual_threshold_ev)
+        assert fits["ti_ka"].fit_window == fits["ti_kb"].fit_window
+        assert result.max_abs_residual_ev <= 1.0
+
     def test_needs_two_lines(self, cfg):
         spec = channel_spectrum(np.full(NBINS, 10))
         with pytest.raises(CalibrationError):

@@ -26,9 +26,9 @@ OFF_SMALL_S = 172_800
 # left out: their fit digits may differ between scipy builds.
 PINNED_SHA256 = {
     "on-100A-34d.run":
-        "46247006940bac34429d8b46d5629a3d743b88823642d94cb1cd0bac24abcb3d",
+        "38a8f17c35bf7710a375d91581d3b49646c23a79443e248ca469a1a9067f6fc5",
     "off-0A-28d.run":
-        "c9d1e1a3a81f56adfb5fc20fbecff326a80d91d29b11e9d75936c89a1185b9c1",
+        "384303b67f21dc7ecb1b581dbacc251e8ce5da4453889aca5cbe5a855abac667",
     "on-100A-34d_generation.txt":
         "ef34e6a5678fd6e0e8c72ec8d7c7462e647cb39d1afb67d1506d6bc0d68c028f",
     "off-0A-28d_generation.txt":

@@ -1,5 +1,6 @@
 """Binary run-file format and histogramming."""
 
+import dataclasses
 import io
 
 import numpy as np
@@ -20,7 +21,6 @@ def make_events(n, rng=None, sorted_ts=True):
     ev["trigger_flags"] = eventio.TRIGGER_SDD
     ev["sdd_id"] = rng.integers(0, 6, size=n)
     ev["adc"] = rng.integers(0, 16384, size=n)
-    ev["qdc"] = rng.integers(0, 4096, size=(n, eventio.QDC_CHANNELS))
     ev["sdd_timing_ns"] = rng.integers(-500, 500, size=n)
     return ev
 
@@ -98,6 +98,23 @@ class TestWriteValidation:
         with pytest.raises(FormatError):
             eventio.write_run(header_for(ev), ev, io.BytesIO())
 
+    def test_timestamps_compared_unsigned(self):
+        # 2**63 + 5 wraps negative as int64, which hid this decrease
+        ev = make_events(2)
+        ev["timestamp_ns"] = (2**63 + 5, 3)
+        head = eventio._encode_header(header_for(ev))
+        with pytest.raises(RecordInvariantError) as err:
+            eventio.write_run(header_for(ev), ev, io.BytesIO())
+        assert err.value.record_index == 1
+        assert err.value.offset == len(head) + eventio.RECORD_SIZE
+        with pytest.raises(RecordInvariantError) as err:
+            eventio.read_run(head + ev.tobytes())
+        assert err.value.record_index == 1
+        ev["timestamp_ns"] = (3, 2**63 + 5)
+        buf = io.BytesIO()
+        eventio.write_run(header_for(ev), ev, buf)
+        assert np.array_equal(eventio.read_run(buf.getvalue())[1], ev)
+
     def test_bad_sdd_id_rejected(self):
         ev = make_events(4)
         ev["sdd_id"][2] = 7
@@ -123,6 +140,15 @@ class TestReadErrors:
         data[4:6] = (99).to_bytes(2, "little")
         with pytest.raises(UnsupportedVersionError):
             eventio.read_run(bytes(data))
+
+    def test_version_1_rejected(self):
+        # version 1 carried 80-byte records with 32 QDC charges
+        assert eventio.FORMAT_VERSION == 2 and eventio.RECORD_SIZE == 16
+        v1 = dataclasses.replace(header_for(make_events(3)), format_version=1)
+        data = eventio._encode_header(v1) + bytes(3 * 80)
+        with pytest.raises(UnsupportedVersionError) as err:
+            eventio.read_run(data)
+        assert err.value.offset == 4
 
     def test_run_id_not_utf8(self):
         data = bytearray(self._bytes())
