@@ -27,7 +27,9 @@ scintillator charges are stored.
 Memory: ``read_run`` reads a file into one buffer and returns a view of
 it, so a reader holds one copy of the records (16 bytes per event);
 ``write_run`` writes from the caller's array and copies it only when it
-is not contiguous.
+is not contiguous.  ``validate_records`` and ``histogram`` go through the
+records CHUNK_RECORDS at a time, so their masks and the kept channels
+take a few MiB whatever the size of the run.
 """
 
 from __future__ import annotations
@@ -62,6 +64,7 @@ EVENT_DTYPE = np.dtype([
     ("sdd_timing_ns", "<i4"),
 ])
 RECORD_SIZE = EVENT_DTYPE.itemsize
+CHUNK_RECORDS = 1 << 18     # records checked or counted at a time (4 MiB)
 
 _HEAD_FIXED = struct.Struct("<4sHH")          # magic, version, run_id_len
 _HEAD_TAIL = struct.Struct("<IQBQ")           # current_ma, live_time_s, on, count
@@ -93,26 +96,40 @@ class RunHeader:
 
 
 def validate_records(events: np.ndarray, base_offset: int = 0) -> None:
-    """Raise RecordInvariantError on the first record breaking an invariant."""
-    sdd = events["sdd_id"]
-    flags = events["trigger_flags"]
-    bad_id = ~((sdd < SDD_COUNT) | (sdd == VETO_ONLY_SDD_ID))
-    veto_only = (flags & TRIGGER_SDD) == 0
-    inconsistent = veto_only != (sdd == VETO_ONLY_SDD_ID)
-    bad = bad_id | inconsistent
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise RecordInvariantError(
-            f"record {i}: sdd_id={int(sdd[i])} trigger_flags={int(flags[i]):#04x} "
-            "violate the sdd_id/self-trigger invariant",
-            offset=base_offset + i * RECORD_SIZE, record_index=i)
+    """Raise RecordInvariantError on the first record breaking an invariant.
+
+    The sdd_id/self-trigger invariant is checked over all records before
+    the timestamp order, each in chunks of CHUNK_RECORDS records, so the
+    masks stay small whatever the size of the run.
+    """
+    n = len(events)
+    for start in range(0, n, CHUNK_RECORDS):
+        chunk = events[start:start + CHUNK_RECORDS]
+        sdd = chunk["sdd_id"]
+        flags = chunk["trigger_flags"]
+        bad_id = ~((sdd < SDD_COUNT) | (sdd == VETO_ONLY_SDD_ID))
+        veto_only = (flags & TRIGGER_SDD) == 0
+        bad = bad_id | (veto_only != (sdd == VETO_ONLY_SDD_ID))
+        if bad.any():
+            j = int(np.argmax(bad))
+            i = start + j
+            raise RecordInvariantError(
+                f"record {i}: sdd_id={int(sdd[j])} "
+                f"trigger_flags={int(flags[j]):#04x} "
+                "violate the sdd_id/self-trigger invariant",
+                offset=base_offset + i * RECORD_SIZE, record_index=i)
     ts = events["timestamp_ns"]
-    drop = ts[1:] < ts[:-1]         # compared as u64: no cast, no wrap
-    if drop.any():
-        i = int(np.argmax(drop)) + 1
-        raise RecordInvariantError(
-            f"record {i}: timestamp decreases",
-            offset=base_offset + i * RECORD_SIZE, record_index=i)
+    for start in range(0, n, CHUNK_RECORDS):
+        # a chunk's first record is compared with the last of the chunk
+        # before; as u64 fields: no cast, no wrap
+        first = max(start, 1)
+        stop = min(start + CHUNK_RECORDS, n)
+        drop = ts[first:stop] < ts[first - 1:stop - 1]
+        if drop.any():
+            i = first + int(np.argmax(drop))
+            raise RecordInvariantError(
+                f"record {i}: timestamp decreases",
+                offset=base_offset + i * RECORD_SIZE, record_index=i)
 
 
 def _encode_header(header: RunHeader) -> bytes:
@@ -260,18 +277,22 @@ def histogram(events: np.ndarray, response: ResponseModel | None,
     """Spectrum of the records that pass the analysis cut.
 
     The cut keeps SDD self-triggers outside veto coincidences (both veto
-    layers fired).  Their amplitudes are counted per ADC channel, and
-    the channel table is binned on the axis: raw channel numbers with
-    ``response=None``, otherwise energy in eV (``response.energy_of``).
+    layers fired).  Their amplitudes are counted per ADC channel, one
+    chunk of records at a time, and the channel table is binned on the
+    axis: raw channel numbers with ``response=None``, otherwise energy
+    in eV (``response.energy_of``).
     The axis is half-open [lo, hi); what falls outside is tallied as
     under/overflow.
     """
     if bins <= 0:
         raise DomainError("bins must be positive")
-    flags = events["trigger_flags"]
-    keep = ((flags & TRIGGER_SDD) != 0) \
-        & ((flags & VETO_COINCIDENCE) != VETO_COINCIDENCE)
-    table = np.bincount(events["adc"][keep], minlength=65536)  # u16 adc
+    table = np.zeros(65536, dtype=np.int64)       # one entry per u16 adc
+    for start in range(0, len(events), CHUNK_RECORDS):
+        chunk = events[start:start + CHUNK_RECORDS]
+        flags = chunk["trigger_flags"]
+        keep = ((flags & TRIGGER_SDD) != 0) \
+            & ((flags & VETO_COINCIDENCE) != VETO_COINCIDENCE)
+        table += np.bincount(chunk["adc"][keep], minlength=table.size)
     values = np.arange(table.size, dtype=np.float64)
     if response is not None:
         values = response.energy_of(values)

@@ -7,8 +7,15 @@ differ only in the injection setting share identical background events.
 
 Stream layout for a run seeded with S: children 0..n-1 of SeedSequence(S)
 drive the n configured source lines in order, then continuum, calibration,
-muons, violation.  Campaigns derive per-run seeds as children of the
-campaign seed (0 = current-on, 1 = current-off).
+muons, violation.  A run of live time T is cut into k = ceil(T / SLICE_S)
+equal time slices.  A component's stream draws its Poisson total first,
+then one multinomial split of it over the slices.  Slice s of the
+component draws from child s of that stream: energies, times (uniform
+in the slice, sorted), normals, detector, timing, then the muon veto
+tags.  Each slice merges its components, concatenated in the order
+above, with a stable sort, so a timestamp tie keeps that order; the run
+is the slices in turn.  Campaigns derive per-run seeds as children of
+the campaign seed (0 = current-on, 1 = current-off).
 
 The violation generator draws Poisson(lambda / f) photons at the shifted
 line energy, where f is the Gaussian ROI containment of that line; the
@@ -28,14 +35,14 @@ import numpy as np
 from .core import (PEP_LINE_ENERGY_EV, SDD_COUNT, EmissionLine,
                    PhysicsConstants, ResponseModel, RunMeta)
 from .errors import DomainError
-from .eventio import (EVENT_DTYPE, RunHeader, TRIGGER_SDD,
-                      TRIGGER_VETO_INNER, TRIGGER_VETO_OUTER)
+from .eventio import EVENT_DTYPE, RunHeader, TRIGGER_SDD, VETO_COINCIDENCE
 from .limits import RoiDefinition, compute_n_int, compute_n_new
 
 CONTINUUM_FLAT = "flat"
 CONTINUUM_EXPONENTIAL = "exponential"
 
 _TIMING_JITTER_NS = 500
+SLICE_S = 86400.0       # a run is generated in slices of at most one day
 
 
 @dataclass(frozen=True)
@@ -135,36 +142,38 @@ class ComponentTally:
     sampled: int
 
 
-def _photon_records(rng: np.random.Generator, live_time_s: float,
-                    energies: np.ndarray,
-                    response: ResponseModel) -> tuple[np.ndarray, int, int]:
-    """Common event-building path: smear, digitize, assign detector.
+def _photon_records(rng: np.random.Generator, t0_s: float, t1_s: float,
+                    energies: np.ndarray | float, response: ResponseModel,
+                    out: np.ndarray) -> tuple[int, int]:
+    """Fill ``out`` with one time slice of a component, in time order.
 
-    Each temporary is worked on in place and assigned to its field
-    without an ``astype`` copy, so the float64 arrays are never copied.
+    The times are drawn uniformly in [t0_s, t1_s) and sorted in place;
+    every other attribute is drawn per event, independently of the times,
+    so sorting them does not change the model.  Each temporary is worked
+    on in place and assigned to its field without an ``astype`` copy.
+    Returns the numbers of channels clamped at the low and high edges.
     """
-    n = len(energies)
-    events = np.zeros(n, dtype=EVENT_DTYPE)
-    if n == 0:
-        return events, 0, 0
-    times = rng.uniform(0.0, live_time_s, n)
+    n = len(out)
+    times = rng.uniform(t0_s, t1_s, n)
+    times.sort()
     times *= 1e9
-    events["timestamp_ns"] = times
+    out["timestamp_ns"] = times
     del times
     smeared = rng.standard_normal(n)
     smeared *= response.sigma_ev
     smeared += energies
     channels = response.channel_of(smeared)
+    del smeared
     low = int((channels < 0).sum())
     high = int((channels >= response.channel_count).sum())
     np.clip(channels, 0, response.channel_count - 1, out=channels)
-    events["adc"] = channels
+    out["adc"] = channels
     del channels
-    events["trigger_flags"] = TRIGGER_SDD
-    events["sdd_id"] = rng.integers(0, SDD_COUNT, n)
-    events["sdd_timing_ns"] = rng.integers(
+    out["trigger_flags"] = TRIGGER_SDD
+    out["sdd_id"] = rng.integers(0, SDD_COUNT, n)
+    out["sdd_timing_ns"] = rng.integers(
         -_TIMING_JITTER_NS, _TIMING_JITTER_NS + 1, n, dtype=np.int32)
-    return events, low, high
+    return low, high
 
 
 def simulate_run(source: SourceModel, inj: InjectionConfig,
@@ -183,71 +192,77 @@ def simulate_run(source: SourceModel, inj: InjectionConfig,
         root = np.random.SeedSequence(seed)
     streams = root.spawn(len(source.lines) + 4)
     live = run.live_time_s
-
-    parts: list[np.ndarray] = []
-    tallies: list[ComponentTally] = []
-    clamped_low = clamped_high = 0
-
-    def emit(name: str, rng: np.random.Generator, expected: float,
-             energies: np.ndarray) -> np.ndarray:
-        nonlocal clamped_low, clamped_high
-        events, lo, hi = _photon_records(rng, live, energies, response)
-        clamped_low += lo
-        clamped_high += hi
-        parts.append(events)
-        tallies.append(ComponentTally(name, expected, len(energies)))
-        return events
-
-    for (line, rate), stream in zip(source.lines, streams):
-        rng = np.random.default_rng(stream)
-        n = int(rng.poisson(rate * live)) if rate > 0 else 0
-        emit(line.label, rng, rate * live, np.full(n, line.energy_ev))
-
-    rng = np.random.default_rng(streams[len(source.lines)])
     cont = source.continuum
-    n = int(rng.poisson(cont.rate_hz * live)) if cont.rate_hz > 0 else 0
-    emit("continuum", rng, cont.rate_hz * live, cont.sample(rng, n))
 
-    rng = np.random.default_rng(streams[len(source.lines) + 1])
-    cal_rate = source.calibration_rate_hz
-    n = int(rng.poisson(cal_rate * live)) if cal_rate > 0 else 0
-    if n > 0:
+    def calibration_energies(rng, n):
         weights = np.array([l.relative_intensity
                             for l in source.calibration_lines])
-        weights /= weights.sum()
-        cal_energies = np.array([l.energy_ev
-                                 for l in source.calibration_lines])
-        energies = cal_energies[rng.choice(len(cal_energies), size=n,
-                                           p=weights)]
-    else:
-        energies = np.empty(0)
-    emit("calibration", rng, cal_rate * live, energies)
+        energies = np.array([l.energy_ev for l in source.calibration_lines])
+        return energies[rng.choice(len(energies), size=n,
+                                   p=weights / weights.sum())]
 
-    rng = np.random.default_rng(streams[len(source.lines) + 2])
-    n = int(rng.poisson(source.muon_rate_hz * live)) \
-        if source.muon_rate_hz > 0 else 0
-    muons = emit("muons", rng, source.muon_rate_hz * live,
-                 cont.sample(rng, n))
-    tagged = rng.random(n) < source.veto_tag_probability
-    muons["trigger_flags"][tagged] |= TRIGGER_VETO_INNER | TRIGGER_VETO_OUTER
-
-    rng = np.random.default_rng(streams[len(source.lines) + 3])
+    # (name, expected count, energy or energy sampler, veto tag probability)
+    components = [(line.label, rate * live, line.energy_ev, 0.0)
+                  for line, rate in source.lines]
+    components.append(("continuum", cont.rate_hz * live, cont.sample, 0.0))
+    components.append(("calibration", source.calibration_rate_hz * live,
+                        calibration_energies, 0.0))
+    components.append(("muons", source.muon_rate_hz * live, cont.sample,
+                       source.veto_tag_probability))
     lam = expected_violation_counts(inj, run, consts, efficiency)
     if lam > 0:
         f = roi_containment(response, roi, inj.line_energy_ev)
         if f < 1e-6:
             raise DomainError("ROI does not contain the violation line; "
                               "cannot normalize the injected signal")
-        n = int(rng.poisson(lam / f))
-        emit("violation", rng, lam / f, np.full(n, inj.line_energy_ev))
-    else:
-        emit("violation", rng, 0.0, np.empty(0))
+        lam /= f
+    components.append(("violation", lam, inj.line_energy_ev, 0.0))
 
-    events = np.concatenate(parts)
-    parts.clear()       # free the components before the sorted copy
-    # a stable sort breaks timestamp ties by concatenation index, so the
-    # order of equal-timestamp events does not depend on the generators
-    events = events[np.argsort(events["timestamp_ns"], kind="stable")]
+    # each component's total is the first draw of its stream; one
+    # multinomial draw splits it over the slices, so the run's size is
+    # known before any record is made
+    n_slices = max(1, math.ceil(live / SLICE_S))
+    counts = np.zeros((len(components), n_slices), dtype=np.int64)
+    slice_streams = []
+    for c, ((_, expected, _, _), stream) in enumerate(
+            zip(components, streams)):
+        rng = np.random.default_rng(stream)
+        n = int(rng.poisson(expected)) if expected > 0 else 0
+        counts[c] = rng.multinomial(n, [1.0 / n_slices] * n_slices)
+        slice_streams.append(stream.spawn(n_slices))
+
+    events = np.empty(int(counts.sum()), dtype=EVENT_DTYPE)
+    clamped_low = clamped_high = pos = 0
+    for s in range(n_slices):
+        t0, t1 = live * s / n_slices, live * (s + 1) / n_slices
+        part = np.empty(int(counts[:, s].sum()), dtype=EVENT_DTYPE)
+        at = 0
+        for c, (_, _, energy, tag_p) in enumerate(components):
+            if counts[c, s] == 0:
+                continue
+            out = part[at:at + counts[c, s]]
+            at += len(out)
+            rng = np.random.default_rng(slice_streams[c][s])
+            energies = energy(rng, len(out)) if callable(energy) else energy
+            lo, hi = _photon_records(rng, t0, t1, energies, response, out)
+            del energies
+            clamped_low += lo
+            clamped_high += hi
+            if tag_p > 0:
+                tagged = rng.random(len(out)) < tag_p
+                out["trigger_flags"][tagged] |= VETO_COINCIDENCE
+        # the components are each in time order; a stable sort merges
+        # them in near-linear time and breaks timestamp ties by
+        # concatenation index, so the order of equal-timestamp events
+        # does not depend on the generators.  mode="clip" lets take write
+        # straight into the run array (indices are in range anyway).
+        order = np.argsort(part["timestamp_ns"], kind="stable")
+        np.take(part, order, out=events[pos:pos + len(part)], mode="clip")
+        pos += len(part)
+
+    tallies = [ComponentTally(name, expected, int(n))
+               for (name, expected, _, _), n in zip(components,
+                                                    counts.sum(axis=1))]
     tallies.append(ComponentTally("clamped_low", 0.0, clamped_low))
     tallies.append(ComponentTally("clamped_high", 0.0, clamped_high))
     header = RunHeader.from_meta(run, len(events))

@@ -26,21 +26,21 @@ OFF_SMALL_S = 172_800
 # left out: their fit digits may differ between scipy builds.
 PINNED_SHA256 = {
     "on-100A-34d.run":
-        "38a8f17c35bf7710a375d91581d3b49646c23a79443e248ca469a1a9067f6fc5",
+        "5dc8ad5508d3c92845a08611734994584df09b016a5f9f0cd8709dbda7c3263d",
     "off-0A-28d.run":
-        "384303b67f21dc7ecb1b581dbacc251e8ce5da4453889aca5cbe5a855abac667",
+        "3bf5afc910fa2977a5a5b7616a1cdd5c1a149a3590fa6fe0854d92f4614a7fad",
     "on-100A-34d_generation.txt":
         "ef34e6a5678fd6e0e8c72ec8d7c7462e647cb39d1afb67d1506d6bc0d68c028f",
     "off-0A-28d_generation.txt":
         "344319da767b30f9cc2755bb5044685fc143ed6b1a54d9ec1fdc22a243b9ccd5",
     "spectrum_on.txt":
-        "a0d6668bad0504dafd6ccf1501d8f3ecce2268bc67ef8127d03472758a253cda",
+        "ce2b3bd30323117152cfaf11ec2df34c7576fbcb1c0ba4bd9ccc771d0d66c7b5",
     "spectrum_off.txt":
-        "3ead7bfd5633a1b16bdd615114c46a7a42b423e23178a870ebce50a43b3b9810",
+        "ad515c2b6295ca10a01d1315600537cfc955e9f61e9fb78aa56bb0817b48962e",
     "analysis.txt":
-        "50066d5d121b0bd48b34df775c30c579fc81c5fcd92500c9959c123f7792c4e0",
+        "b40553aa94d60b5753257e557a7652446483c9458fbc4d2838025ffc3209432d",
     "limit.txt":
-        "5e27fdf46861929edea607d7ff64fef84016bb35160f6be1313d5720bf000dea",
+        "1ab06f7857db1bd778a991f116b1be6367181bf827bfa195ef0e4ba098fac65c",
 }
 
 

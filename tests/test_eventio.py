@@ -188,6 +188,26 @@ class TestReadErrors:
         assert err.value.record_index == 2
         del ev
 
+    @pytest.mark.parametrize("fault", ["sdd_id", "timestamp"])
+    def test_fault_at_chunk_border(self, fault):
+        # the first record of the second chunk: its timestamp is compared
+        # with the last record of the first chunk
+        i = eventio.CHUNK_RECORDS
+        ev = make_events(i + 10)
+        ev["timestamp_ns"] = np.arange(len(ev), dtype=np.uint64) * 10
+        head = eventio._encode_header(header_for(ev))
+        if fault == "sdd_id":
+            ev["sdd_id"][i] = 7
+        else:
+            ev["timestamp_ns"][i] = ev["timestamp_ns"][i - 1] - 1
+        for act in (lambda: eventio.write_run(header_for(ev), ev,
+                                              io.BytesIO()),
+                    lambda: eventio.read_run(head + ev.tobytes())):
+            with pytest.raises(RecordInvariantError) as err:
+                act()
+            assert err.value.record_index == i
+            assert err.value.offset == len(head) + i * eventio.RECORD_SIZE
+
     def test_veto_only_records_valid(self):
         ev = make_events(2)
         ev["trigger_flags"] = eventio.VETO_COINCIDENCE  # no SDD bit
@@ -264,6 +284,20 @@ class TestHistogram:
         counts, under, over = event_histogram(ev, response, *axis)
         assert np.array_equal(spec.counts, counts)
         assert (spec.underflow, spec.overflow) == (under, over)
+
+    def test_multi_chunk_matches_event_reference(self):
+        rng = np.random.default_rng(23)
+        ev = make_events(2 * eventio.CHUNK_RECORDS + 12_345, rng=rng)
+        tagged = rng.random(len(ev)) < 0.1
+        ev["trigger_flags"][tagged] |= eventio.VETO_COINCIDENCE
+        response = core.ResponseModel(gain_ev_per_channel=0.9987,
+                                      offset_ev=3.21, channel_count=65536)
+        for resp, axis in ((None, (16384, -0.5, 16383.5)),
+                           (response, (10000, 2000.0, 12000.0))):
+            spec = eventio.histogram(ev, resp, *axis)
+            counts, under, over = event_histogram(ev, resp, *axis)
+            assert np.array_equal(spec.counts, counts)
+            assert (spec.underflow, spec.overflow) == (under, over)
 
     def test_empty_events(self):
         spec = eventio.histogram(make_events(0), None, 100, -0.5, 99.5)

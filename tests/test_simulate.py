@@ -20,45 +20,60 @@ def roi_count(events, cfg, live):
     return limits.count_roi(spec, cfg.roi).value
 
 
-def reference_run(source, response, live, seed):
+def reference_run(source, response, live, seed, n_slices):
     """Per-record reference generator for a source of lines and muons.
 
-    Builds each component's records in draw order with the plain
-    (not in-place) arithmetic, concatenates them, sorts with ``lexsort``
-    and an explicit index tiebreak, and permutes the records.
+    Each component's total is the first draw of its stream, and one
+    multinomial draw splits it over ``n_slices`` equal time slices.  Slice
+    s of a component draws from child s of its stream, with the plain
+    (not in-place) arithmetic: energies, sorted times, normals, detector,
+    timing, then the muon tags.  Each slice is ordered by ``lexsort`` with
+    an explicit index tiebreak over the components in order, and the
+    slices are concatenated.
     """
     assert source.continuum.rate_hz == 0 and source.calibration_rate_hz == 0
     streams = np.random.SeedSequence(seed).spawn(len(source.lines) + 4)
+    muon_stream = streams[len(source.lines) + 2]
+    components = [(stream, rate, lambda rng, n, e=line.energy_ev: e, 0.0)
+                  for (line, rate), stream in zip(source.lines, streams)]
+    components.append((muon_stream, source.muon_rate_hz,
+                       source.continuum.sample, source.veto_tag_probability))
 
-    def records(rng, energies):
-        n = len(energies)
-        events = np.zeros(n, eventio.EVENT_DTYPE)
-        if n == 0:
-            return events
-        times = rng.uniform(0.0, live, n)
-        smeared = energies + response.sigma_ev * rng.standard_normal(n)
-        channels = np.clip(response.channel_of(smeared), 0,
-                           response.channel_count - 1)
-        events["timestamp_ns"] = (times * 1e9).astype(np.uint64)
-        events["trigger_flags"] = eventio.TRIGGER_SDD
-        events["sdd_id"] = rng.integers(0, core.SDD_COUNT, n)
-        events["adc"] = channels
-        events["sdd_timing_ns"] = rng.integers(-500, 501, n, dtype=np.int32)
-        return events
-
-    parts = []
-    for (line, rate), stream in zip(source.lines, streams):
+    splits = []
+    for stream, rate, _, _ in components:
         rng = np.random.default_rng(stream)
         n = int(rng.poisson(rate * live))
-        parts.append(records(rng, np.full(n, line.energy_ev)))
-    rng = np.random.default_rng(streams[len(source.lines) + 2])
-    n = int(rng.poisson(source.muon_rate_hz * live))
-    muons = records(rng, source.continuum.sample(rng, n))
-    tagged = rng.random(n) < source.veto_tag_probability
-    muons["trigger_flags"][tagged] |= eventio.VETO_COINCIDENCE
-    events = np.concatenate(parts + [muons])
-    return events[np.lexsort((np.arange(len(events)),
-                              events["timestamp_ns"]))]
+        splits.append((rng.multinomial(n, [1.0 / n_slices] * n_slices),
+                       stream.spawn(n_slices)))
+
+    slices = []
+    for s in range(n_slices):
+        t0, t1 = live * s / n_slices, live * (s + 1) / n_slices
+        parts = []
+        for (_, _, energy, tag_p), (counts, children) in zip(components,
+                                                             splits):
+            n = int(counts[s])
+            rng = np.random.default_rng(children[s])
+            energies = energy(rng, n)
+            times = np.sort(rng.uniform(t0, t1, n))
+            smeared = energies + response.sigma_ev * rng.standard_normal(n)
+            channels = np.clip(response.channel_of(smeared), 0,
+                               response.channel_count - 1)
+            events = np.zeros(n, eventio.EVENT_DTYPE)
+            events["timestamp_ns"] = (times * 1e9).astype(np.uint64)
+            events["trigger_flags"] = eventio.TRIGGER_SDD
+            events["sdd_id"] = rng.integers(0, core.SDD_COUNT, n)
+            events["adc"] = channels
+            events["sdd_timing_ns"] = rng.integers(-500, 501, n,
+                                                   dtype=np.int32)
+            if tag_p > 0:
+                tagged = rng.random(n) < tag_p
+                events["trigger_flags"][tagged] |= eventio.VETO_COINCIDENCE
+            parts.append(events)
+        events = np.concatenate(parts)
+        slices.append(events[np.lexsort((np.arange(len(events)),
+                                         events["timestamp_ns"]))])
+    return np.concatenate(slices)
 
 
 def tally_by_name(tallies, name):
@@ -273,7 +288,8 @@ class TestSimulateRun:
             - roi_count(ev_null, cfg, cfg.run_on.live_time_s)
         assert abs(excess - 198) < 3 * math.sqrt(198)
 
-    def test_tie_order(self, cfg, no_injection):
+    @staticmethod
+    def check_tie_order(cfg, no_injection, n_slices):
         # 10000 events in 1e5 ns slots: hundreds of equal timestamps, many
         # of them involving a veto-tagged muon
         live = 1e-4
@@ -285,7 +301,7 @@ class TestSimulateRun:
         _, events, _ = simulate.simulate_run(
             src, no_injection, cfg.response, 0.01, run, cfg.constants,
             cfg.roi, 13)
-        expected = reference_run(src, cfg.response, live, 13)
+        expected = reference_run(src, cfg.response, live, 13, n_slices)
         ts = events["timestamp_ns"]
         tie = ts[1:] == ts[:-1]
         tagged = (events["trigger_flags"] & eventio.TRIGGER_VETO_INNER) != 0
@@ -294,6 +310,13 @@ class TestSimulateRun:
         assert events.dtype == expected.dtype
         for name in eventio.EVENT_DTYPE.names:
             assert np.array_equal(events[name], expected[name]), name
+
+    def test_tie_order(self, cfg, no_injection):
+        self.check_tie_order(cfg, no_injection, 1)
+
+    def test_tie_order_three_slices(self, cfg, no_injection, monkeypatch):
+        monkeypatch.setattr(simulate, "SLICE_S", 4e-5)  # 1e-4 s in 3 slices
+        self.check_tie_order(cfg, no_injection, 3)
 
     def test_generation_report(self, cfg, quiet_source, no_injection):
         run = dataclasses.replace(cfg.run_on, live_time_s=86400)
@@ -369,9 +392,10 @@ class _NullSink:
 class TestMemoryBound:
     """Traced peak bytes per event of each stage that holds a run.
 
-    A record is 16 bytes, so generation holds about three copies of the
-    records at its peak, writing adds almost nothing, and reading holds
-    one copy plus the cut's byte masks.
+    A record is 16 bytes.  Generation holds the run's records plus one
+    day's slice, so its peak per event does not grow with the live time;
+    writing adds almost nothing, and reading holds one copy of the
+    records plus one chunk's masks.
     """
 
     @staticmethod
@@ -384,27 +408,40 @@ class TestMemoryBound:
         finally:
             tracemalloc.stop()
 
-    @pytest.fixture(scope="class")
-    def generated(self, cfg, no_injection):
-        run = dataclasses.replace(cfg.run_on, live_time_s=100_000)
-        return self.traced_peak(lambda: simulate.simulate_run(
+    @classmethod
+    def generate(cls, cfg, no_injection, days):
+        run = dataclasses.replace(cfg.run_on, live_time_s=days * 86400)
+        assert math.ceil(run.live_time_s / simulate.SLICE_S) == days
+        return cls.traced_peak(lambda: simulate.simulate_run(
             cfg.source, no_injection, cfg.response, 0.01, run,
             cfg.constants, cfg.roi, 9))
 
+    @pytest.fixture(scope="class")
+    def generated(self, cfg, no_injection):
+        return self.generate(cfg, no_injection, 10)
+
     def test_simulate_run_peak(self, generated):
         (_, events, _), peak = generated
-        assert len(events) >= 200_000
-        assert peak / len(events) <= 56.0
+        assert len(events) >= 1_500_000
+        assert peak / len(events) <= 24.0
+
+    def test_peak_per_event_does_not_grow(self, cfg, no_injection,
+                                          generated):
+        (_, events, _), peak = generated
+        (_, longer, _), longer_peak = self.generate(cfg, no_injection, 20)
+        assert len(longer) > 1.9 * len(events)
+        assert longer_peak / len(longer) <= peak / len(events)
 
     def test_write_run_adds_little(self, generated):
         (header, events, _), _ = generated
         written, peak = self.traced_peak(
             lambda: eventio.write_run(header, events, _NullSink()))
         assert written == events.nbytes + len(eventio._encode_header(header))
-        assert peak / len(events) <= 8.0
+        assert peak / len(events) <= 2.0
 
     def test_read_and_histogram_peak(self, cfg, generated, tmp_path):
         (header, events, _), _ = generated
+        assert len(events) > 4 * eventio.CHUNK_RECORDS
         path = tmp_path / "run.run"
         eventio.write_run(header, events, path)
 
@@ -415,7 +452,7 @@ class TestMemoryBound:
 
         spec, peak = self.traced_peak(count)
         assert spec.counts.sum() + spec.underflow + spec.overflow > 0
-        assert peak / len(events) <= 32.0
+        assert peak / len(events) <= 20.0
 
 
 class TestSourceValidation:
