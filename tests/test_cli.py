@@ -43,6 +43,15 @@ PINNED_SHA256 = {
         "1ab06f7857db1bd778a991f116b1be6367181bf827bfa195ef0e4ba098fac65c",
 }
 
+# sha256 of the artifacts computed from the published operating point
+# alone, on the bundled config: reproduce-paper and project --target 1e-31
+PINNED_REFERENCE_SHA256 = {
+    "reproduction.txt":
+        "71535936465ae966bf8b659867d923a0fd8112b521d1a8243cc8393a2d433191",
+    "projection.txt":
+        "53162c0c081fa4cc9826ab82e954849111df1268d172e832503290d87051b757",
+}
+
 
 def small_config_text():
     text = config.default_config_text()
@@ -175,6 +184,14 @@ class TestChain:
                 path = out / name
             digests[name] = hashlib.sha256(path.read_bytes()).hexdigest()
         assert digests == PINNED_SHA256
+
+    def test_reference_bytes_pinned(self, tmp_path):
+        out = ["--output-dir", str(tmp_path)]
+        assert cli.main(["reproduce-paper"] + out) == 0
+        assert cli.main(["project", "--target", "1e-31"] + out) == 0
+        digests = {name: hashlib.sha256((tmp_path / name).read_bytes())
+                   .hexdigest() for name in PINNED_REFERENCE_SHA256}
+        assert digests == PINNED_REFERENCE_SHA256
 
     def test_analyze_idempotent(self, small_cfg_path, campaign_dir,
                                 tmp_path):
