@@ -2,8 +2,7 @@
 exclusion-principle tests with x-ray detectors."""
 
 from .core import (EmissionLine, GeometryConfig, PhysicsConstants,
-                   ResponseModel, RunMeta, default_geometry,
-                   default_line_table, fwhm_to_sigma, sigma_to_fwhm)
+                   ResponseModel, RunMeta, fwhm_to_sigma, sigma_to_fwhm)
 from .efficiency import EfficiencyResult, run_efficiency
 from .errors import (CalibrationError, ConfigError, DomainError, FitError,
                      FormatError)
@@ -23,9 +22,8 @@ __all__ = [
     "InjectionConfig", "LimitResult", "Measurement", "PhysicsConstants",
     "ResponseModel", "RoiDefinition", "RunHeader", "RunMeta", "SourceModel",
     "Spectrum", "SubtractionResult", "compute_limit", "count_roi",
-    "default_geometry", "default_line_table", "expected_violation_counts",
-    "fwhm_to_sigma", "histogram", "normalize_livetime",
-    "project_sensitivity", "read_run", "run_efficiency", "sigma_to_fwhm",
-    "simulate_campaign", "simulate_run", "subtract", "write_run",
-    "__version__",
+    "expected_violation_counts", "fwhm_to_sigma", "histogram",
+    "normalize_livetime", "project_sensitivity", "read_run",
+    "run_efficiency", "sigma_to_fwhm", "simulate_campaign", "simulate_run",
+    "subtract", "write_run", "__version__",
 ]

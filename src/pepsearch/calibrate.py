@@ -313,9 +313,8 @@ def calibrate_spectrum(raw: Spectrum, anchor_lines, crosscheck_lines=(),
 
 
 def response_from_calibration(result: CalibrationResult,
-                              channel_count: int = 16384,
-                              reference_energy_ev: float = 8040.0
-                              ) -> ResponseModel:
+                              channel_count: int,
+                              reference_energy_ev: float) -> ResponseModel:
     """Measured response usable by the energy-axis histogrammer."""
     return ResponseModel(fwhm_at_reference_ev=result.resolution_fwhm_at_8kev,
                          reference_energy_ev=reference_energy_ev,
@@ -324,9 +323,10 @@ def response_from_calibration(result: CalibrationResult,
                          channel_count=channel_count)
 
 
-def render_calibration_report(result: CalibrationResult,
-                              fits: dict | None = None) -> str:
-    """Human-readable summary plus a config-format [response] section."""
+def render_calibration_report(result: CalibrationResult, fits: dict,
+                              response_text: str) -> str:
+    """Human-readable summary followed by ``response_text``, the
+    [response] section written beside it."""
     lines = ["calibration", "==========="]
     lines.append(f"gain    = {result.gain_ev_per_channel:.6f} "
                  f"+/- {result.gain_uncertainty:.6f} eV/channel")
@@ -336,22 +336,20 @@ def render_calibration_report(result: CalibrationResult,
     lines.append("residuals:")
     for energy, residual in result.residuals:
         lines.append(f"  {energy:9.2f} eV : {residual:+.3f} eV")
-    if fits:
-        lines.append("peaks:")
-        for label in sorted(fits):
-            p = fits[label]
-            lines.append(f"  {label:<8} centroid {p.centroid_channel:10.3f} "
-                         f"+/- {p.centroid_uncertainty:.3f} ch, sigma "
-                         f"{p.sigma_channels:7.3f} ch, chi2/dof "
-                         f"{p.goodness:.2f}")
+    lines.append("peaks:")
+    for label in sorted(fits):
+        p = fits[label]
+        lines.append(f"  {label:<8} centroid {p.centroid_channel:10.3f} "
+                     f"+/- {p.centroid_uncertainty:.3f} ch, sigma "
+                     f"{p.sigma_channels:7.3f} ch, chi2/dof "
+                     f"{p.goodness:.2f}")
     lines.append("")
-    lines.append(response_section_text(result))
+    lines.append(response_text)
     return "\n".join(lines)
 
 
-def response_section_text(result: CalibrationResult,
-                          channel_count: int = 16384,
-                          reference_energy_ev: float = 8040.0) -> str:
+def response_section_text(result: CalibrationResult, channel_count: int,
+                          reference_energy_ev: float) -> str:
     """Machine-readable [response] section for reuse by the histogrammer."""
     return "\n".join([
         "[response]",

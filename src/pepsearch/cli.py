@@ -123,13 +123,14 @@ def cmd_calibrate(args, cfg, out: Path) -> int:
         min_prominence=cfg.calibration.min_prominence,
         window_halfwidth_sigmas=cfg.calibration.window_halfwidth_sigmas,
         residual_threshold_ev=cfg.calibration.residual_threshold_ev)
+    section = calibrate_mod.response_section_text(
+        result, channel_count=channels,
+        reference_energy_ev=cfg.response.reference_energy_ev)
     with _atomic_write(out / "calibration.txt") as fh:
-        fh.write(calibrate_mod.render_calibration_report(result,
-                                                         fits).encode())
+        fh.write(calibrate_mod.render_calibration_report(
+            result, fits, section).encode())
     with _atomic_write(out / "response.cfg") as fh:
-        fh.write(calibrate_mod.response_section_text(
-            result, channel_count=channels,
-            reference_energy_ev=cfg.response.reference_energy_ev).encode())
+        fh.write(section.encode())
     print(f"gain {result.gain_ev_per_channel:.6f} eV/ch, offset "
           f"{result.offset_ev:+.3f} eV, fwhm@8keV "
           f"{result.resolution_fwhm_at_8kev:.2f} eV")
@@ -210,10 +211,10 @@ def cmd_project(args, cfg, out: Path) -> int:
         live = record.on_run.live_time_s
         current = record.on_run.current_a
     else:
-        ref = cfg.reference
-        sigma = ref.published_delta_uncertainty
-        live = ref.on_live_time_s
-        current = ref.current_a
+        ref = reference_mod.PUBLISHED_REFERENCE
+        sigma = ref["published_delta_uncertainty"]
+        live = ref["on_live_time_s"]
+        current = ref["current_a"]
     proj = limits_mod.project_sensitivity(
         args.target, sigma, live, cfg.constants, cfg.limit.efficiency,
         current, n_sigma=cfg.limit.n_sigma)

@@ -3,16 +3,16 @@
 The format is INI with dotted section names for nesting; every numeric
 key carries its unit as a suffix.  Loading is strict: unknown keys or
 sections, missing sections, and cross-section inconsistencies (for
-example a geometry strip length that disagrees with the constants) are
-all configuration errors.  Degenerate detector layouts (zero plates,
-zero-area plates) are allowed so efficiency studies can express them.
+example an ROI edge off the bin grid) are all configuration errors.
+Degenerate detector layouts (zero plates, zero-area plates) are allowed
+so efficiency studies can express them.
 """
 
 from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
@@ -73,22 +73,6 @@ class CalibrationSettings:
 
 
 @dataclass(frozen=True)
-class ReferenceValues:
-    """Published inputs reproduced by the audit subcommand."""
-
-    n_on_counts: float
-    n_off_raw_counts: float
-    on_live_time_s: float
-    off_live_time_s: float
-    current_a: float
-    efficiency: float
-    n_sigma: float
-    published_limit: float
-    published_delta: float
-    published_delta_uncertainty: float
-
-
-@dataclass(frozen=True)
 class AnalysisConfig:
     constants: PhysicsConstants
     response: ResponseModel
@@ -103,7 +87,6 @@ class AnalysisConfig:
     limit: LimitSettings
     efficiency: EfficiencySettings
     calibration: CalibrationSettings
-    reference: ReferenceValues
 
 
 def _read_parser(text: str, origin: str) -> configparser.ConfigParser:
@@ -175,15 +158,11 @@ def _parse(parser: configparser.ConfigParser, origin: str) -> AnalysisConfig:
 
     sec = take("geometry")
     geometry = GeometryConfig(
-        strip_length_cm=sec.number("strip_length_cm"),
+        strip_length_cm=constants.strip_length_cm,
         strip_width_cm=sec.number("strip_width_cm"),
         strip_thickness_cm=sec.number("strip_thickness_cm"),
         detectors=tuple(sorted(plates, key=lambda p: p.det_id)))
     sec.finish()
-    if geometry.strip_length_cm != constants.strip_length_cm:
-        raise ConfigError(
-            f"geometry strip_length_cm {geometry.strip_length_cm} disagrees "
-            f"with constants strip_length_cm {constants.strip_length_cm}")
 
     lines: dict[str, EmissionLine] = {}
     for name in sorted(n for n in sections
@@ -194,8 +173,8 @@ def _parse(parser: configparser.ConfigParser, origin: str) -> AnalysisConfig:
             label=label, energy_ev=sec.number("energy_ev"),
             relative_intensity=sec.number("relative_intensity"))
         sec.finish()
-    if not lines:
-        raise ConfigError(f"{origin} defines no [line.*] sections")
+    if "pep_forbidden" not in lines:
+        raise ConfigError(f"{origin} is missing section [line.pep_forbidden]")
 
     source_lines = []
     for name in sorted(n for n in sections if n.startswith("source.line.")):
@@ -243,15 +222,11 @@ def _parse(parser: configparser.ConfigParser, origin: str) -> AnalysisConfig:
     sec.finish()
 
     sec = take("injection")
-    injection = InjectionConfig(beta2_over_2=sec.number("beta2_over_2"),
-                                enabled=sec.boolean("enabled"))
+    injection = InjectionConfig(
+        line_energy_ev=lines["pep_forbidden"].energy_ev,
+        beta2_over_2=sec.number("beta2_over_2"),
+        enabled=sec.boolean("enabled"))
     sec.finish()
-    if "pep_forbidden" in lines:
-        injection = replace(injection,
-                            line_energy_ev=lines["pep_forbidden"].energy_ev)
-    elif injection.enabled:
-        raise ConfigError("injection enabled but no pep_forbidden line "
-                          "defined")
 
     sec = take("roi")
     roi = RoiDefinition(low_ev=sec.number("low_ev"),
@@ -304,20 +279,6 @@ def _parse(parser: configparser.ConfigParser, origin: str) -> AnalysisConfig:
         raise ConfigError("efficiency samples and batch_size must be "
                           "positive")
 
-    sec = take("reference")
-    reference = ReferenceValues(
-        n_on_counts=sec.number("n_on_counts"),
-        n_off_raw_counts=sec.number("n_off_raw_counts"),
-        on_live_time_s=sec.number("on_live_time_s"),
-        off_live_time_s=sec.number("off_live_time_s"),
-        current_a=sec.number("current_a"),
-        efficiency=sec.number("efficiency"),
-        n_sigma=sec.number("n_sigma"),
-        published_limit=sec.number("published_limit"),
-        published_delta=sec.number("published_delta"),
-        published_delta_uncertainty=sec.number("published_delta_uncertainty"))
-    sec.finish()
-
     unknown = set(sections) - consumed
     if unknown:
         raise ConfigError(
@@ -327,8 +288,7 @@ def _parse(parser: configparser.ConfigParser, origin: str) -> AnalysisConfig:
                           geometry=geometry, lines=lines, source=source,
                           injection=injection, roi=roi, binning=binning,
                           run_on=run_on, run_off=run_off, limit=limit,
-                          efficiency=efficiency, calibration=calibration,
-                          reference=reference)
+                          efficiency=efficiency, calibration=calibration)
 
 
 def read_text(path: str | Path) -> str:

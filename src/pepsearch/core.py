@@ -1,4 +1,4 @@
-"""Shared physical constants, emission-line table, detector response and geometry.
+"""Shared physical constants, emission lines, detector response and geometry.
 
 Everything here is immutable after construction and safe to share across
 workers.  Energies are in eV, lengths in cm, times in seconds, currents in
@@ -16,13 +16,6 @@ from .errors import ConfigError, DomainError
 
 # Gaussian FWHM = 2 sqrt(2 ln 2) sigma
 FWHM_OVER_SIGMA = 2.0 * math.sqrt(2.0 * math.log(2.0))
-
-# Search window for the anomalous line, one detector FWHM wide.  The line
-# itself sits at the window midpoint by construction; limits code and the
-# event generator must both use these constants.
-ROI_LOW_EV = 7629.0
-ROI_HIGH_EV = 7829.0
-PEP_LINE_ENERGY_EV = 0.5 * (ROI_LOW_EV + ROI_HIGH_EV)
 
 SDD_COUNT = 6
 
@@ -66,10 +59,13 @@ class Section:
     def number(self, key: str) -> float:
         raw = self._raw(key)
         try:
-            return float(raw)
+            value = float(raw)
         except ValueError:
             raise ConfigError(
                 f"{self.label} {key} = {raw!r} is not a number") from None
+        if not math.isfinite(value):
+            raise ConfigError(f"{self.label} {key} = {raw!r} is not finite")
+        return value
 
     def integer(self, key: str) -> int:
         raw = self._raw(key)
@@ -132,37 +128,6 @@ class EmissionLine:
         if not 0.0 < self.relative_intensity <= 1.0:
             raise DomainError(
                 f"line {self.label!r}: relative intensity must be in (0, 1]")
-
-
-def default_line_table() -> list[EmissionLine]:
-    """Emission lines used by the generator and the calibration.
-
-    K-alpha1/K-alpha2 fine structure is merged into a single line at the
-    K-alpha1 energy.  Energies and K-beta/K-alpha ratios for Ti, Mn and Cu
-    are taken from standard x-ray reference tables; the copper K-alpha is
-    anchored at the 8.04 keV value used throughout the analysis, and the
-    anomalous line sits at the search-window midpoint.  Sorted by energy.
-    """
-    lines = [
-        EmissionLine("ti_ka", 4510.84, 1.0),
-        EmissionLine("ti_kb", 4931.81, 0.134),
-        EmissionLine("mn_ka", 5898.75, 1.0),
-        EmissionLine("mn_kb", 6490.45, 0.135),
-        EmissionLine("pep_forbidden", PEP_LINE_ENERGY_EV, 1.0),
-        EmissionLine("cu_ka", 8040.0, 1.0),
-        EmissionLine("cu_kb", 8905.3, 0.137),
-    ]
-    return sorted(lines, key=lambda ln: ln.energy_ev)
-
-
-def line_lookup(lines: list[EmissionLine] | None = None) -> dict[str, EmissionLine]:
-    """Label -> line mapping over ``lines`` (default table when omitted)."""
-    return {ln.label: ln for ln in (lines if lines is not None else default_line_table())}
-
-
-# Labels of the lines produced by the in-situ calibration source (a weak
-# Fe-55 emitter behind a titanium foil).
-CALIBRATION_LINE_LABELS = ("ti_ka", "ti_kb", "mn_ka", "mn_kb")
 
 
 @dataclass(frozen=True)
@@ -254,10 +219,6 @@ class DetectorPlate:
         if self.normal_z not in (-1, 1):
             raise ConfigError("normal_z must be +1 or -1")
 
-    @property
-    def area_cm2(self) -> float:
-        return self.width_x_cm * self.width_y_cm
-
 
 def _plates_overlap(a: DetectorPlate, b: DetectorPlate) -> bool:
     if a.center_z_cm != b.center_z_cm:
@@ -295,20 +256,6 @@ class GeometryConfig:
     @property
     def detector_count(self) -> int:
         return len(self.detectors)
-
-
-def default_geometry() -> GeometryConfig:
-    """Six 0.7 x 0.7 cm2 plates, three over and three under the strip.
-
-    Positions and areas are a plausible stand-in tuned so the default
-    detection efficiency comes out near 1%; they are not a measured layout.
-    """
-    plates = []
-    for i, x in enumerate((-3.0, 0.0, 3.0)):
-        plates.append(DetectorPlate(i, x, 0.0, 1.0, 0.7, 0.7, -1))
-    for i, x in enumerate((-3.0, 0.0, 3.0)):
-        plates.append(DetectorPlate(i + 3, x, 0.0, -1.0, 0.7, 0.7, 1))
-    return GeometryConfig(detectors=tuple(plates))
 
 
 @dataclass(frozen=True)

@@ -157,7 +157,9 @@ def run_efficiency(geometry: GeometryConfig, consts: PhysicsConstants,
         partials = [_batch_sums(geometry, consts, c, s)
                     for c, s in zip(counts, seeds)]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # a pool starts all its processes at the first submit
+        pool_size = min(workers, len(counts))
+        with ProcessPoolExecutor(max_workers=pool_size) as pool:
             futures = [pool.submit(_batch_sums, geometry, consts, c, s)
                        for c, s in zip(counts, seeds)]
             partials = [f.result() for f in futures]

@@ -16,8 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import (PhysicsConstants, ROI_HIGH_EV, ROI_LOW_EV, RunMeta,
-                   Section)
+from .core import PhysicsConstants, RunMeta, Section
 from .errors import DomainError
 from .eventio import Spectrum
 
@@ -51,8 +50,8 @@ class Measurement:
 class RoiDefinition:
     """Energy window where the shifted line would appear."""
 
-    low_ev: float = ROI_LOW_EV
-    high_ev: float = ROI_HIGH_EV
+    low_ev: float
+    high_ev: float
 
     def __post_init__(self):
         if not self.low_ev < self.high_ev:
@@ -181,8 +180,9 @@ def compute_limit(delta: SubtractionResult, run: RunMeta,
     """
     if not 0.0 < efficiency <= 1.0:
         raise DomainError("efficiency must be in (0, 1]")
-    if n_sigma <= 0:
-        raise DomainError("n_sigma must be positive")
+    if not 0.0 < n_sigma < math.inf:
+        raise DomainError(f"n_sigma must be finite and positive, got "
+                          f"{n_sigma}")
     if bound_convention not in BOUND_CONVENTIONS:
         raise DomainError(f"unknown bound convention {bound_convention!r}")
     n_new = compute_n_new(run, consts)
@@ -228,8 +228,9 @@ def project_sensitivity(target_beta2_over_2: float, sigma_delta_ref: float,
     With sigma_delta held fixed the limit falls as 1/t and
     t_req = t_ref * (limit_ref/target).
     """
-    if target_beta2_over_2 <= 0:
-        raise DomainError("target bound must be positive")
+    if not 0.0 < target_beta2_over_2 < math.inf:
+        raise DomainError(f"target bound must be finite and positive, got "
+                          f"{target_beta2_over_2}")
     if sigma_delta_ref <= 0 or live_time_ref_s <= 0:
         raise DomainError("reference uncertainty and live time must be "
                           "positive")

@@ -32,8 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (PEP_LINE_ENERGY_EV, SDD_COUNT, EmissionLine,
-                   PhysicsConstants, ResponseModel, RunMeta)
+from .core import (SDD_COUNT, EmissionLine, PhysicsConstants, ResponseModel,
+                   RunMeta)
 from .errors import DomainError
 from .eventio import EVENT_DTYPE, RunHeader, TRIGGER_SDD, VETO_COINCIDENCE
 from .limits import RoiDefinition, compute_n_int, compute_n_new
@@ -103,9 +103,9 @@ class SourceModel:
 class InjectionConfig:
     """Strength and energy of the simulated violation signal."""
 
+    line_energy_ev: float
     beta2_over_2: float = 0.0
     enabled: bool = False
-    line_energy_ev: float = PEP_LINE_ENERGY_EV
 
     def __post_init__(self):
         if self.beta2_over_2 < 0:

@@ -5,7 +5,6 @@ import dataclasses
 import pytest
 
 from pepsearch import config as config_mod
-from pepsearch import simulate
 
 # (number, name, passed) rows filled in by tests/test_acceptance.py
 CRITERIA_BOARD: list[tuple[int, str, bool]] = []
@@ -28,8 +27,9 @@ def quiet_source(cfg):
 
 
 @pytest.fixture(scope="session")
-def no_injection():
-    return simulate.InjectionConfig()
+def no_injection(cfg):
+    return dataclasses.replace(cfg.injection, beta2_over_2=0.0,
+                               enabled=False)
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -75,11 +75,12 @@ class TestCriterion1:
 
 
 class TestCriterion2:
-    def test_injected_signal_recovered(self, cfg, quiet_source):
+    def test_injected_signal_recovered(self, cfg, quiet_source,
+                                       no_injection):
         with criterion(2, "forward/inverse injection consistency"):
             inj_on = dataclasses.replace(cfg.injection,
                                          beta2_over_2=4.2e-29, enabled=True)
-            inj_off = simulate.InjectionConfig()
+            inj_off = no_injection
             eff = cfg.limit.efficiency
             live = cfg.run_on.live_time_s
             excesses = []
@@ -271,13 +272,13 @@ class TestCriterion7:
 class TestCriterion8:
     def test_projection_sanity(self, cfg):
         with criterion(8, "sensitivity projection sanity"):
-            ref = cfg.reference
-            off_norm = ref.n_off_raw_counts * ref.on_live_time_s \
-                / ref.off_live_time_s
-            sigma = math.sqrt(ref.n_on_counts + off_norm)
+            ref = reference.PUBLISHED_REFERENCE
+            off_norm = ref["n_off_raw_counts"] * ref["on_live_time_s"] \
+                / ref["off_live_time_s"]
+            sigma = math.sqrt(ref["n_on_counts"] + off_norm)
             proj = limits.project_sensitivity(
-                4.2e-29, sigma, ref.on_live_time_s, cfg.constants,
-                ref.efficiency, ref.current_a, n_sigma=ref.n_sigma)
+                4.2e-29, sigma, ref["on_live_time_s"], cfg.constants,
+                ref["efficiency"], ref["current_a"], n_sigma=ref["n_sigma"])
             # the operating point is a fixed point up to the 2% rounding
             # of the published bound itself
             days = proj.required_live_time_fixed_sigma_s / 86400.0
@@ -285,8 +286,8 @@ class TestCriterion8:
             assert abs(proj.improvement_factor - 1.0) < 0.02
 
             goal = limits.project_sensitivity(
-                1e-31, sigma, ref.on_live_time_s, cfg.constants,
-                ref.efficiency, ref.current_a, n_sigma=ref.n_sigma)
+                1e-31, sigma, ref["on_live_time_s"], cfg.constants,
+                ref["efficiency"], ref["current_a"], n_sigma=ref["n_sigma"])
             assert 400.0 < goal.improvement_factor < 440.0
             assert abs(goal.improvement_factor
                        - proj.reference_limit / 1e-31) < 1e-9

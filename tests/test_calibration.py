@@ -31,9 +31,10 @@ def calibration_run_spectrum(cfg, response, live_s, rate_hz, seed):
         continuum=simulate.ContinuumModel(),
         calibration_rate_hz=rate_hz)
     run = RunMeta("cal", 0.0, live_s, False)
+    no_injection = dataclasses.replace(cfg.injection, enabled=False)
     _, events, _ = simulate.simulate_run(
-        source, simulate.InjectionConfig(), response, 0.01, run,
-        cfg.constants, cfg.roi, seed)
+        source, no_injection, response, 0.01, run, cfg.constants, cfg.roi,
+        seed)
     return eventio.histogram(events, response=None,
                              bins=response.channel_count,
                              lo=-0.5, hi=response.channel_count - 0.5)
@@ -291,15 +292,19 @@ class TestResponseRoundTrip:
     def test_section_text_reload(self, cfg, tmp_path):
         result, _ = run_closed_loop(cfg, 1.0, 0.0, seed=7)
         path = tmp_path / "response.cfg"
-        path.write_text(calibrate.response_section_text(result))
+        shape = (cfg.response.channel_count, cfg.response.reference_energy_ev)
+        path.write_text(calibrate.response_section_text(result, *shape))
         loaded = config.load_response_file(path)
-        assert loaded == calibrate.response_from_calibration(result)
+        assert loaded == calibrate.response_from_calibration(result, *shape)
         assert loaded.gain_ev_per_channel == result.gain_ev_per_channel
         assert loaded.offset_ev == result.offset_ev
 
     def test_report_mentions_all_lines(self, cfg):
         result, fits = run_closed_loop(cfg, 1.0, 0.0, seed=7)
-        text = calibrate.render_calibration_report(result, fits)
+        section = calibrate.response_section_text(
+            result, cfg.response.channel_count,
+            cfg.response.reference_energy_ev)
+        text = calibrate.render_calibration_report(result, fits, section)
         for label in ("ti_ka", "ti_kb", "mn_ka", "mn_kb"):
             assert label in text
         assert "[response]" in text

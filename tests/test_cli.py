@@ -10,13 +10,13 @@ from pathlib import Path
 import pytest
 
 import pepsearch
-from pepsearch import cli, config, limits
+from pepsearch import cli, config, limits, reference
 from pepsearch.efficiency import EfficiencyResult, render_efficiency_report
 from pepsearch.eventio import read_run
 
 # 3 d on / 2 d off keeps full-source simulations fast while leaving
-# calibration statistics comfortable; the [reference] section is left at
-# the published operating point so reproduce-paper still passes
+# calibration statistics comfortable; reproduce-paper reads only the
+# [constants], which stay at the published operating point
 ON_SMALL_S = 259_200
 OFF_SMALL_S = 172_800
 
@@ -166,6 +166,26 @@ class TestChain:
             on_live_time_s=record.on_run.live_time_s)
         assert (out / "limit.txt").read_text() == expected
 
+    def test_calibration_report_carries_response_file(self, campaign_dir,
+                                                      tmp_path):
+        text = small_config_text() \
+            .replace("channel_count = 16384", "channel_count = 20000") \
+            .replace("reference_energy_ev = 8040.0",
+                     "reference_energy_ev = 6000.0")
+        cfg_path = tmp_path / "wide.cfg"
+        cfg_path.write_text(text)
+        rc = cli.main(["calibrate", "--input",
+                       str(campaign_dir / "on-100A-34d.run"),
+                       "--config", str(cfg_path), "--output-dir",
+                       str(tmp_path)])
+        assert rc == 0
+        section = (tmp_path / "response.cfg").read_text()
+        assert "channel_count = 20000\n" in section
+        assert "reference_energy_ev = 6000.0\n" in section
+        report = (tmp_path / "calibration.txt").read_text()
+        assert report.endswith("\n\n" + section)
+        assert report.count("[response]") == 1
+
     def test_artifact_bytes_pinned(self, small_cfg_path, campaign_dir,
                                    tmp_path):
         out = tmp_path / "pinned"
@@ -256,10 +276,10 @@ class TestEfficiencyCommand:
 class TestProjectCommand:
     def test_fixed_point_and_goal(self, small_cfg_path, small_cfg,
                                   tmp_path):
-        ref = small_cfg.reference
-        denominator = (ref.current_a * ref.on_live_time_s / 1.602e-19) \
-            * 0.1 * (10.0 / 3.9e-6) * ref.efficiency
-        ref_limit = 3.0 * ref.published_delta_uncertainty / denominator
+        ref = reference.PUBLISHED_REFERENCE
+        denominator = (ref["current_a"] * ref["on_live_time_s"] / 1.602e-19) \
+            * 0.1 * (10.0 / 3.9e-6) * ref["efficiency"]
+        ref_limit = 3.0 * ref["published_delta_uncertainty"] / denominator
 
         out = tmp_path / "proj"
         rc = cli.main(["project", "--target", repr(ref_limit), "--config",
@@ -291,14 +311,13 @@ class TestReproduceCommand:
 
     def test_flags_constant_drift(self, tmp_path, capsys):
         text = config.default_config_text().replace(
-            "current_a = 100.0\nefficiency = 0.01",
-            "current_a = 40.0\nefficiency = 0.01")
+            "capture_fraction = 0.1", "capture_fraction = 0.2")
         cfg_path = tmp_path / "drift.cfg"
         cfg_path.write_text(text)
         rc = cli.main(["reproduce-paper", "--config", str(cfg_path),
                        "--output-dir", str(tmp_path)])
         assert rc == 1
-        assert "current_a" in capsys.readouterr().err
+        assert "constants.capture_fraction" in capsys.readouterr().err
 
     def test_zero_efficiency_config(self, tmp_path, capsys):
         text = config.default_config_text().replace(
@@ -361,6 +380,62 @@ class TestExitCodes:
         assert "\n" not in err
         assert key in err
         assert not (tmp_path / "limit.txt").exists()
+
+    @pytest.mark.parametrize("old, new, section, key", [
+        ("live_time_s = 2937600", "live_time_s = nan", "[run.on]",
+         "live_time_s"),
+        ("[source.line.cu_ka]\nrate_hz = 0.02",
+         "[source.line.cu_ka]\nrate_hz = inf", "[source.line.cu_ka]",
+         "rate_hz"),
+    ], ids=["run-on-live-time-nan", "cu-ka-rate-inf"])
+    def test_non_finite_config_value(self, old, new, section, key, tmp_path,
+                                     capsys):
+        text = config.default_config_text()
+        assert old in text
+        cfg_path = tmp_path / "bad.cfg"
+        cfg_path.write_text(text.replace(old, new))
+        rc = cli.main(["simulate", "--seed", "1", "--config", str(cfg_path),
+                       "--output-dir", str(tmp_path / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("error:")
+        assert "\n" not in err
+        assert f"{section} {key} = " in err
+        assert not list(tmp_path.glob("out/*"))
+
+    def test_non_finite_artifact_value(self, small_cfg, tmp_path, capsys):
+        text = artifact_texts(small_cfg)["analysis.txt"]
+        text = "\n".join("on_live_time_s = inf"
+                         if line.startswith("on_live_time_s") else line
+                         for line in text.splitlines()) + "\n"
+        (tmp_path / "analysis.txt").write_text(text)
+        rc = cli.main(["limit", "--analysis", str(tmp_path / "analysis.txt"),
+                       "--output-dir", str(tmp_path)])
+        assert rc == 1
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("error: analysis report on_live_time_s")
+        assert "\n" not in err
+        assert not (tmp_path / "limit.txt").exists()
+
+    @pytest.mark.parametrize("argv, artifact, match", [
+        ("limit --analysis analysis.txt --nsigma nan", "limit.txt",
+         "n_sigma"),
+        ("limit --analysis analysis.txt --nsigma inf", "limit.txt",
+         "n_sigma"),
+        ("project --target inf", "projection.txt", "target bound"),
+    ], ids=["nsigma-nan", "nsigma-inf", "target-inf"])
+    def test_non_finite_flag(self, argv, artifact, match, small_cfg,
+                             tmp_path, capsys, monkeypatch):
+        (tmp_path / "analysis.txt").write_text(
+            artifact_texts(small_cfg)["analysis.txt"])
+        monkeypatch.chdir(tmp_path)
+        rc = cli.main(argv.split() + ["--output-dir", "out"])
+        assert rc == 1
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("error:")
+        assert "\n" not in err
+        assert match in err
+        assert not (tmp_path / "out" / artifact).exists()
 
     @pytest.mark.parametrize("leading", [True, False],
                              ids=["leading", "trailing"])

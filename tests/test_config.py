@@ -83,6 +83,28 @@ class TestStrictness:
         with pytest.raises(ConfigError, match="not a boolean"):
             config.load_config_text(text)
 
+    def test_retired_keys_are_unknown(self):
+        # the published operating point lives in pepsearch.reference, and
+        # the strip length only in [constants]
+        text = mutated("strip_width_cm", "strip_length_cm = 10.0\n"
+                       "strip_width_cm")
+        with pytest.raises(ConfigError, match=r"\[geometry\] has unknown "
+                                              r"key\(s\): strip_length_cm"):
+            config.load_config_text(text)
+        text = config.default_config_text() + \
+            "\n[reference]\nn_on_counts = 2222\n"
+        with pytest.raises(ConfigError,
+                           match=r"unknown section\(s\): reference"):
+            config.load_config_text(text)
+
+    @pytest.mark.parametrize("raw", ["nan", "inf", "-inf", "NaN"])
+    def test_non_finite_value(self, raw):
+        text = mutated("capture_fraction = 0.1", f"capture_fraction = {raw}")
+        with pytest.raises(ConfigError,
+                           match=r"\[constants\] capture_fraction .* "
+                                 "is not finite"):
+            config.load_config_text(text)
+
     def test_duplicate_section(self):
         text = config.default_config_text() + "\n[roi]\nlow_ev = 1\n"
         with pytest.raises(ConfigError, match="cannot parse"):
@@ -132,11 +154,9 @@ class TestCrossChecks:
                                                  "bins = 100000"))
         assert fine.binning.bins == 100000
 
-    def test_strip_length_disagreement(self):
-        text = mutated("[geometry]\nstrip_length_cm = 10.0",
-                       "[geometry]\nstrip_length_cm = 12.0")
-        with pytest.raises(ConfigError, match="disagrees"):
-            config.load_config_text(text)
+    def test_geometry_strip_length_is_the_constant(self):
+        text = mutated("strip_length_cm = 10.0", "strip_length_cm = 12.0")
+        assert config.load_config_text(text).geometry.strip_length_cm == 12.0
 
     def test_run_on_must_be_on(self):
         text = mutated(

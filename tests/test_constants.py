@@ -1,4 +1,5 @@
-"""Core model: width conversions, line table, response map, geometry."""
+"""Core model: width conversions, the configured line table, response map,
+geometry."""
 
 import math
 
@@ -41,8 +42,8 @@ class TestWidthConversions:
 
 
 class TestLineTable:
-    def test_required_lines(self):
-        table = core.line_lookup()
+    def test_required_lines(self, cfg):
+        table = cfg.lines
         assert table["pep_forbidden"].energy_ev == 7729.0
         assert table["cu_ka"].energy_ev == 8040.0
         assert table["mn_ka"].energy_ev == pytest.approx(5899.0, abs=1.0)
@@ -50,16 +51,15 @@ class TestLineTable:
         for label in ("cu_kb", "mn_kb", "ti_kb"):
             assert label in table
 
-    def test_sorted_and_positive(self):
-        energies = [ln.energy_ev for ln in core.default_line_table()]
-        assert all(e > 0 for e in energies)
-        assert energies == sorted(energies)
+    def test_sorted_and_positive(self, cfg):
+        # the loader keys the lines by label, in label order
+        assert list(cfg.lines) == sorted(cfg.lines)
+        assert all(ln.label == label for label, ln in cfg.lines.items())
+        assert all(ln.energy_ev > 0 for ln in cfg.lines.values())
 
-    def test_pep_line_is_roi_midpoint(self):
-        assert core.PEP_LINE_ENERGY_EV == 0.5 * (core.ROI_LOW_EV
-                                                 + core.ROI_HIGH_EV)
-        assert core.line_lookup()["pep_forbidden"].energy_ev == \
-            core.PEP_LINE_ENERGY_EV
+    def test_pep_line_is_roi_midpoint(self, cfg):
+        assert cfg.lines["pep_forbidden"].energy_ev == cfg.roi.center_ev
+        assert cfg.injection.line_energy_ev == cfg.roi.center_ev
 
     def test_relative_intensity_validated(self):
         with pytest.raises(DomainError):
@@ -117,8 +117,8 @@ class TestPhysicsConstants:
 
 
 class TestGeometry:
-    def test_default_geometry(self):
-        g = core.default_geometry()
+    def test_default_geometry(self, cfg):
+        g = cfg.geometry
         assert g.detector_count == 6
         assert g.strip_length_cm == 10.0
         ids = sorted(p.det_id for p in g.detectors)

@@ -1,5 +1,6 @@
 """Acceptance Monte Carlo: emission, transport, ray tests, convergence."""
 
+import concurrent.futures
 import dataclasses
 import math
 
@@ -28,8 +29,8 @@ def slab_escape_quadrature(thickness_cm, att_cm):
 
 
 class TestSampleEmission:
-    def test_uniform_depth_and_isotropy(self):
-        g = core.default_geometry()
+    def test_uniform_depth_and_isotropy(self, cfg):
+        g = cfg.geometry
         rng = np.random.default_rng(1)
         points, directions = efficiency.sample_emission(g, rng, 1_000_000)
         half_t = g.strip_thickness_cm / 2
@@ -199,6 +200,34 @@ class TestRunEfficiency:
         c = efficiency.run_efficiency(cfg.geometry, cfg.constants, 60_000,
                                       seed=9, batch_size=16_384, workers=2)
         assert a == c
+
+    def test_pool_capped_at_batch_count(self, cfg, monkeypatch):
+        # a stand-in pool that records its size and runs each task inline,
+        # so no process is started
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = concurrent.futures.Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(efficiency, "ProcessPoolExecutor", InlinePool)
+        pooled = efficiency.run_efficiency(cfg.geometry, cfg.constants,
+                                           60_000, seed=9, batch_size=16_384,
+                                           workers=5000)
+        assert sizes == [4]      # 3 full batches and a remainder
+        assert pooled == efficiency.run_efficiency(
+            cfg.geometry, cfg.constants, 60_000, seed=9, batch_size=16_384)
 
     def test_minimum_samples(self, cfg):
         with pytest.raises(DomainError):

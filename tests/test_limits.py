@@ -58,8 +58,8 @@ class TestMeasurement:
 
 
 class TestRoiDefinition:
-    def test_defaults(self):
-        roi = RoiDefinition()
+    def test_defaults(self, cfg):
+        roi = cfg.roi
         assert roi.low_ev == 7629.0
         assert roi.high_ev == 7829.0
         assert roi.width_ev == 200.0
@@ -71,40 +71,40 @@ class TestRoiDefinition:
 
 
 class TestCountRoi:
-    def test_uniform_spectrum(self):
+    def test_uniform_spectrum(self, cfg):
         spec = Spectrum(kind="energy", lo=7000.0, hi=9000.0,
                         counts=np.ones(2000, dtype=np.int64))
-        got = limits.count_roi(spec, RoiDefinition())
+        got = limits.count_roi(spec, cfg.roi)
         # 1 eV bins, centers 7629.5 .. 7828.5 inclusive
         assert got.value == 200.0
         assert got.uncertainty == pytest.approx(math.sqrt(200.0))
 
-    def test_half_open_window(self):
+    def test_half_open_window(self, cfg):
         # 2 eV bins with centers on odd integers: 7629 is included,
         # 7829 is excluded
         spec = Spectrum(kind="energy", lo=7628.0, hi=7830.0,
                         counts=np.ones(101, dtype=np.int64))
-        got = limits.count_roi(spec, RoiDefinition())
+        got = limits.count_roi(spec, cfg.roi)
         assert got.value == 100.0
 
-    def test_empty_spectrum(self):
+    def test_empty_spectrum(self, cfg):
         spec = Spectrum(kind="energy", lo=7000.0, hi=9000.0,
                         counts=np.zeros(2000, dtype=np.int64))
-        got = limits.count_roi(spec, RoiDefinition())
+        got = limits.count_roi(spec, cfg.roi)
         assert got.value == 0.0
         assert got.uncertainty == 0.0
 
-    def test_channel_axis_rejected(self):
+    def test_channel_axis_rejected(self, cfg):
         spec = Spectrum(kind="channel", lo=-0.5, hi=16383.5,
                         counts=np.ones(16384, dtype=np.int64))
         with pytest.raises(DomainError):
-            limits.count_roi(spec, RoiDefinition())
+            limits.count_roi(spec, cfg.roi)
 
-    def test_roi_outside_spectrum(self):
+    def test_roi_outside_spectrum(self, cfg):
         spec = Spectrum(kind="energy", lo=7700.0, hi=7800.0,
                         counts=np.ones(100, dtype=np.int64))
         with pytest.raises(DomainError):
-            limits.count_roi(spec, RoiDefinition())
+            limits.count_roi(spec, cfg.roi)
 
 
 class TestNormalizeLivetime:
@@ -289,9 +289,10 @@ class TestComputeLimit:
         with pytest.raises(DomainError):
             limits.compute_limit(sub, reference_run(), PhysicsConstants(),
                                  1.5)
-        with pytest.raises(DomainError):
-            limits.compute_limit(sub, reference_run(), PhysicsConstants(),
-                                 0.01, n_sigma=0.0)
+        for n_sigma in (0.0, math.nan, math.inf):
+            with pytest.raises(DomainError, match="n_sigma"):
+                limits.compute_limit(sub, reference_run(), PhysicsConstants(),
+                                     0.01, n_sigma=n_sigma)
         with pytest.raises(DomainError):
             limits.compute_limit(sub, reference_run(), PhysicsConstants(),
                                  0.01, bound_convention="bogus")
@@ -338,10 +339,11 @@ class TestProjection:
         assert proj.improvement_factor == pytest.approx(423.4, abs=0.5)
 
     def test_validation(self):
-        with pytest.raises(DomainError):
-            limits.project_sensitivity(0.0, SIGMA_DELTA, ON_LIVE_S,
-                                       PhysicsConstants(), EFFICIENCY,
-                                       CURRENT_A)
+        for target in (0.0, math.nan, math.inf):
+            with pytest.raises(DomainError, match="target"):
+                limits.project_sensitivity(target, SIGMA_DELTA, ON_LIVE_S,
+                                           PhysicsConstants(), EFFICIENCY,
+                                           CURRENT_A)
         with pytest.raises(DomainError):
             limits.project_sensitivity(1e-31, 0.0, ON_LIVE_S,
                                        PhysicsConstants(), EFFICIENCY,
@@ -375,13 +377,13 @@ class TestReports:
         assert "beta2/2 <= 4.2e-29" in text
         assert "99.7% C.L." in text
 
-    def test_analysis_report_round_trip(self):
+    def test_analysis_report_round_trip(self, cfg):
         record = limits.AnalysisRecord(
             subtraction=reference_subtraction(),
             n_off_raw=Measurement(N_OFF_RAW, math.sqrt(N_OFF_RAW)),
             on_run=reference_run(),
             off_live_time_s=OFF_LIVE_S,
-            roi=RoiDefinition())
+            roi=cfg.roi)
         text = limits.render_analysis_report(record)
         back = limits.parse_analysis_report(text)
         assert back == record    # repr round trip is exact for floats
@@ -390,13 +392,13 @@ class TestReports:
         with pytest.raises(DomainError):
             limits.parse_analysis_report("n_on = 5\n")
 
-    def test_parse_malformed_number(self):
+    def test_parse_malformed_number(self, cfg):
         record = limits.AnalysisRecord(
             subtraction=reference_subtraction(),
             n_off_raw=Measurement(N_OFF_RAW, math.sqrt(N_OFF_RAW)),
             on_run=reference_run(),
             off_live_time_s=OFF_LIVE_S,
-            roi=RoiDefinition())
+            roi=cfg.roi)
         text = limits.render_analysis_report(record)
         with pytest.raises(DomainError):
             limits.parse_analysis_report(text.replace("repr", "repr")

@@ -83,11 +83,12 @@ def tally_by_name(tallies, name):
 
 
 class TestExpectedViolationCounts:
-    def setup_method(self):
+    @pytest.fixture(autouse=True)
+    def setup(self, cfg):
         self.consts = core.PhysicsConstants()
         self.run = core.RunMeta("on", 100.0, 34 * 86400.0, True)
-        self.inj = simulate.InjectionConfig(beta2_over_2=4.2e-29,
-                                            enabled=True)
+        self.inj = dataclasses.replace(cfg.injection, beta2_over_2=4.2e-29,
+                                       enabled=True)
 
     def test_reference_point(self):
         lam = simulate.expected_violation_counts(self.inj, self.run,
@@ -96,12 +97,13 @@ class TestExpectedViolationCounts:
         assert lam == pytest.approx(197.5, abs=0.1)
 
     def test_zero_strength(self):
-        inj = simulate.InjectionConfig(beta2_over_2=0.0, enabled=True)
+        inj = dataclasses.replace(self.inj, beta2_over_2=0.0)
         assert simulate.expected_violation_counts(inj, self.run, self.consts,
                                                   0.01) == 0.0
 
     def test_disabled(self):
-        inj = simulate.InjectionConfig(beta2_over_2=1e-20, enabled=False)
+        inj = dataclasses.replace(self.inj, beta2_over_2=1e-20,
+                                  enabled=False)
         assert simulate.expected_violation_counts(inj, self.run, self.consts,
                                                   0.01) == 0.0
 
@@ -241,7 +243,8 @@ class TestSimulateRun:
 
     def test_violation_only_when_enabled(self, cfg, quiet_source):
         run = dataclasses.replace(cfg.run_on, live_time_s=86400)
-        inj = simulate.InjectionConfig(beta2_over_2=4.2e-29, enabled=True)
+        inj = dataclasses.replace(cfg.injection, beta2_over_2=4.2e-29,
+                                  enabled=True)
         _, _, tallies = simulate.simulate_run(
             quiet_source, inj, cfg.response, 0.01, run, cfg.constants,
             cfg.roi, 4)
@@ -257,9 +260,9 @@ class TestSimulateRun:
         assert tally_by_name(tallies_off, "violation").expected == 0.0
         assert tally_by_name(tallies_off, "violation").sampled == 0
 
-    def test_configured_violation_energy(self):
-        assert simulate.InjectionConfig().line_energy_ev \
-            == core.line_lookup()["pep_forbidden"].energy_ev
+    def test_configured_violation_energy(self, cfg):
+        assert cfg.injection.line_energy_ev \
+            == cfg.lines["pep_forbidden"].energy_ev
         text = config.default_config_text().replace(
             "[line.pep_forbidden]\nenergy_ev = 7729.0",
             "[line.pep_forbidden]\nenergy_ev = 7700.0")
@@ -277,7 +280,8 @@ class TestSimulateRun:
         assert abs(events["adc"].mean() - expect) < 5 * sigma_ch / math.sqrt(n)
 
     def test_paired_injection_excess(self, cfg, quiet_source, no_injection):
-        inj = simulate.InjectionConfig(beta2_over_2=4.2e-29, enabled=True)
+        inj = dataclasses.replace(cfg.injection, beta2_over_2=4.2e-29,
+                                  enabled=True)
         _, ev_inj, _ = simulate.simulate_run(
             quiet_source, inj, cfg.response, 0.01, cfg.run_on, cfg.constants,
             cfg.roi, 0)
