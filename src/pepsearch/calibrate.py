@@ -6,6 +6,15 @@ affine channel-to-energy map through the anchor lines.  Cross-check lines
 participate in the residual report but not in the map.  The resolution is
 extrapolated to 8 keV under the constant-FWHM model, so it is simply the
 weighted mean of the per-peak FWHM values in eV.
+
+Both steps are numpy alone.  The peak search follows the definitions of
+``scipy.signal.find_peaks``.  The peak fits are a weighted
+Levenberg-Marquardt least squares (Marquardt, J. SIAM 11 (1963) 431)
+with the analytic Jacobian J.  The weights W = 1/max(counts, 1) per bin
+are taken as absolute, so the parameter covariance is inv(J^T W J) at
+the minimum, and chi2/dof comes from the same weighted residuals.  A
+window whose chi2/dof exceeds MAX_REDUCED_CHI2 is rejected: the model
+does not describe it, so its centroid would be biased.
 """
 
 from __future__ import annotations
@@ -19,8 +28,58 @@ from .core import FWHM_OVER_SIGMA, ResponseModel
 from .errors import CalibrationError, FitError
 from .eventio import Spectrum
 
-MAX_FIT_EVALS = 200
+MAX_FIT_EVALS = 200             # iterations per fitted peak
+CONVERGED_CHI2_DROP = 1e-10     # rounding leaves under 1e-14
+# windows read 0.85-1.21 on the bundled 34-day on-run (seeds 1-60), and
+# up to 1.63 on single lines of a few thousand counts, where the weights
+# 1/max(counts, 1) inflate chi2; a doublet fitted as one line reads more
+MAX_REDUCED_CHI2 = 2.0
 DEFAULT_RESIDUAL_THRESHOLD_EV = 5.0
+
+
+def prominent_peaks(x: np.ndarray, min_prominence: float,
+                    distance: int) -> tuple[np.ndarray, np.ndarray]:
+    """Indices and prominences of the local maxima of `x`, in index order.
+
+    The semantics are those of ``scipy.signal.find_peaks(x,
+    prominence=min_prominence, distance=distance)``:
+
+    - a local maximum is a sample, or the middle of a plateau (rounded
+      down), with a strictly lower sample on each side; the first and
+      last samples are never maxima;
+    - from the highest maximum down, each kept maximum removes the
+      maxima closer than `distance` samples; equal heights are taken in
+      the order numpy's default argsort gives, as scipy takes them;
+    - the prominence of a survivor is its height minus the higher of its
+      two bases, each base being the minimum of `x` up to the nearest
+      strictly higher sample on that side, or up to the border; maxima
+      with prominence at least `min_prominence` are returned.
+    """
+    starts = np.flatnonzero(np.r_[True, x[1:] != x[:-1]])
+    ends = np.r_[starts[1:], len(x)] - 1
+    level = x[starts]
+    inner = (level[1:-1] > level[:-2]) & (level[1:-1] > level[2:])
+    peaks = (starts[1:-1][inner] + ends[1:-1][inner]) // 2
+
+    keep = np.ones(len(peaks), dtype=bool)
+    near_lo = np.searchsorted(peaks, peaks - distance, side="right")
+    near_hi = np.searchsorted(peaks, peaks + distance, side="left")
+    for j in np.argsort(x[peaks])[::-1]:
+        if keep[j]:
+            keep[near_lo[j]:near_hi[j]] = False
+            keep[j] = True
+    peaks = peaks[keep]
+
+    prominences = np.empty(len(peaks))
+    for k, peak in enumerate(peaks):
+        higher = np.flatnonzero(x > x[peak])
+        i = np.searchsorted(higher, peak)
+        left = higher[i - 1] + 1 if i > 0 else 0
+        right = higher[i] if i < len(higher) else len(x)
+        prominences[k] = x[peak] - max(x[left:peak + 1].min(),
+                                       x[peak:right].min())
+    strong = prominences >= min_prominence
+    return peaks[strong], prominences[strong]
 
 
 def find_peaks(raw: Spectrum, min_prominence: float, expected_count: int,
@@ -31,9 +90,8 @@ def find_peaks(raw: Spectrum, min_prominence: float, expected_count: int,
     expected peak sigma before the local-maximum search; ties in
     prominence break toward the lower channel.  Maxima closer together
     than the smoothing width are not resolvable and collapse to the
-    more prominent one.
+    higher one.
     """
-    from scipy import signal   # ~1 s to load; only calibrate needs scipy
     if expected_count < 1:
         raise CalibrationError("expected_count must be at least 1")
     counts = raw.counts.astype(np.float64)
@@ -45,24 +103,70 @@ def find_peaks(raw: Spectrum, min_prominence: float, expected_count: int,
     # any spectrum with nonzero counts near the boundaries
     padded = np.pad(counts, width, mode="edge")
     smoothed = np.convolve(padded, kernel, mode="same")[width:-width]
-    idx, props = signal.find_peaks(smoothed, prominence=min_prominence,
-                                   distance=width)
+    idx, prominences = prominent_peaks(smoothed, min_prominence, width)
     if len(idx) < expected_count:
         found = raw.bin_centers[idx] if len(idx) else np.empty(0)
         raise CalibrationError(
             f"found {len(idx)} peak(s) above prominence {min_prominence}, "
             f"expected {expected_count}; candidates at {np.round(found, 1)}")
-    order = np.lexsort((idx, -props["prominences"]))
+    order = np.lexsort((idx, -prominences))
     return raw.bin_centers[idx[order]]
 
 
-def _multi_gauss_const(x, *params):
-    background = params[-1]
-    out = np.full_like(x, background, dtype=np.float64)
+def _gaussians_and_jacobian(x: np.ndarray, params: np.ndarray
+                            ) -> tuple[np.ndarray, np.ndarray]:
+    """Gaussians plus a constant at `x`, and the derivatives by `params`.
+
+    `params` holds (amplitude, centroid, sigma) per peak, then the
+    constant.
+    """
+    model = np.full(len(x), params[-1], dtype=np.float64)
+    jac = np.empty((len(x), len(params)))
+    jac[:, -1] = 1.0
     for i in range(0, len(params) - 1, 3):
         amplitude, centroid, sigma = params[i:i + 3]
-        out += amplitude * np.exp(-0.5 * ((x - centroid) / sigma) ** 2)
-    return out
+        u = (x - centroid) / sigma
+        g = np.exp(-0.5 * u * u)
+        model += amplitude * g
+        jac[:, i] = g
+        jac[:, i + 1] = amplitude * g * u / sigma
+        jac[:, i + 2] = amplitude * g * u * u / sigma
+    return model, jac
+
+
+def _levenberg_marquardt(x, y, yerr, p0, max_iter: int):
+    """Minimize chi2 = sum(((y - model) / yerr)**2) from `p0`.
+
+    Marquardt's damping scales the diagonal of the curvature matrix
+    A = J^T W J, so a step does not depend on the parameters' units.
+    Converged when the undamped Gauss-Newton step would lower chi2 by
+    less than CONVERGED_CHI2_DROP, which bounds every parameter's
+    remaining shift by 1e-5 of its uncertainty.  Returns the parameters,
+    the covariance inv(A) with absolute `yerr` and chi2, or None after
+    `max_iter` iterations; a singular A raises LinAlgError.
+    """
+    def evaluate(p):
+        model, jac = _gaussians_and_jacobian(x, p)
+        r = (y - model) / yerr
+        j = jac / yerr[:, None]
+        return r @ r, j.T @ j, j.T @ r
+
+    p = np.array(p0, dtype=np.float64)
+    chi2, a, g = evaluate(p)
+    damping = 1e-3
+    for _ in range(max_iter):
+        if g @ np.linalg.solve(a, g) < CONVERGED_CHI2_DROP:
+            return p, np.linalg.inv(a), chi2
+        trial = p + np.linalg.solve(a + damping * np.diag(np.diag(a)), g)
+        trial_chi2, trial_a, trial_g = evaluate(trial)
+        if trial_chi2 < chi2:
+            p, chi2, a, g = trial, trial_chi2, trial_a, trial_g
+            damping /= 10.0
+        else:
+            damping *= 10.0
+            if damping > 1e20:      # no step is downhill: stalled
+                return None
+    return None
 
 
 @dataclass(frozen=True)
@@ -98,7 +202,6 @@ def _fit_window(raw: Spectrum, lo: float, hi: float, start) -> list[PeakFit]:
     peaks share the window's reduced chi-square and come back ordered by
     centroid.
     """
-    from scipy import optimize
     centers = raw.bin_centers
     sel = (centers >= lo) & (centers <= hi)
     x = centers[sel]
@@ -113,19 +216,23 @@ def _fit_window(raw: Spectrum, lo: float, hi: float, start) -> list[PeakFit]:
     background0 = float(np.median(np.concatenate((y[:3], y[-3:]))))
     p0 = start(x, y, background0)
     peaks = (len(p0) - 1) // 3
+    max_iter = MAX_FIT_EVALS * peaks
     try:
-        popt, pcov, info, mesg, ier = optimize.curve_fit(
-            _multi_gauss_const, x, y, p0=p0, sigma=yerr, absolute_sigma=True,
-            maxfev=MAX_FIT_EVALS * peaks, full_output=True)
-    except RuntimeError as exc:
-        raise FitError(f"no convergence within {MAX_FIT_EVALS * peaks} "
-                       f"evaluations in window [{lo}, {hi}]: {exc}") from None
-    if ier not in (1, 2, 3, 4):
-        raise FitError(f"fit failed in window [{lo}, {hi}]: {mesg}")
+        solution = _levenberg_marquardt(x, y, yerr, p0, max_iter)
+    except np.linalg.LinAlgError:
+        raise FitError(f"undefined fit covariance in window [{lo}, {hi}]"
+                       ) from None
+    if solution is None:
+        raise FitError(f"no convergence within {max_iter} iterations in "
+                       f"window [{lo}, {hi}]")
+    popt, pcov, chi2 = solution
     if not np.all(np.isfinite(pcov)):
         raise FitError(f"undefined fit covariance in window [{lo}, {hi}]")
-    residual = (y - _multi_gauss_const(x, *popt)) / yerr
-    goodness = float((residual ** 2).sum() / max(len(x) - len(popt), 1))
+    goodness = float(chi2 / max(len(x) - len(popt), 1))
+    if goodness > MAX_REDUCED_CHI2:
+        raise FitError(f"chi2/dof {goodness:.2f} in window [{lo}, {hi}] "
+                       f"exceeds {MAX_REDUCED_CHI2}: the model does not "
+                       "describe the window")
     perr = np.sqrt(np.clip(np.diag(pcov), 0.0, None))
     fits = []
     for i in range(peaks):

@@ -144,6 +144,35 @@ class TestFitGaussian:
         with pytest.raises(CalibrationError):
             calibrate.fit_gaussian(channel_spectrum(counts), (100.0, 110.0))
 
+    def test_doublet_fitted_as_one_line_trips_the_gate(self):
+        # two equal lines 2.5 sigma apart read as one broad line: the
+        # centroid is a blend, and chi2/dof says so
+        rng = np.random.default_rng(3)
+        counts = gauss_counts(rng, 100_000, 5000, 85) \
+            + gauss_counts(rng, 100_000, 5212, 85)
+        with pytest.raises(FitError, match=r"chi2/dof [0-9.]+ in window "
+                           r"\[4806\.0, 5406\.0\] exceeds"):
+            calibrate.fit_gaussian(channel_spectrum(counts), (4806.0, 5406.0))
+
+    def test_no_convergence(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        spec = channel_spectrum(gauss_counts(rng, 100_000, 5899, 85))
+        monkeypatch.setattr(calibrate, "MAX_FIT_EVALS", 1)
+        with pytest.raises(FitError, match="no convergence within 1 "):
+            calibrate.fit_gaussian(spec, (5899 - 212.5, 5899 + 212.5))
+
+    def test_undefined_covariance(self):
+        # a second peak far outside the window leaves its three
+        # parameters without any constraint
+        rng = np.random.default_rng(8)
+        spec = channel_spectrum(gauss_counts(rng, 100_000, 5899, 85))
+
+        def start(x, y, background0):
+            return [1000.0, 5899.0, 85.0, 1000.0, -1e6, 1.0, background0]
+
+        with pytest.raises(FitError, match="undefined fit covariance"):
+            calibrate._fit_window(spec, 5899 - 212.5, 5899 + 212.5, start)
+
     def test_peak_fit_invariants(self):
         good = dict(centroid_channel=100.0, sigma_channels=5.0,
                     amplitude=10.0, background=1.0, fit_window=(50.0, 150.0),

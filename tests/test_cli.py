@@ -23,7 +23,8 @@ OFF_SMALL_S = 172_800
 # sha256 of the artifacts of simulate --seed 5 on the small config, then
 # calibrate, analyze with the configured response and limit; a change
 # here is a change of output bytes.  calibration.txt and response.cfg are
-# left out: their fit digits may differ between scipy builds.
+# left out: their fit digits come from LAPACK solves and BLAS products,
+# whose rounding may differ between numpy builds.
 PINNED_SHA256 = {
     "on-100A-34d.run":
         "5dc8ad5508d3c92845a08611734994584df09b016a5f9f0cd8709dbda7c3263d",
@@ -500,6 +501,34 @@ class TestOutputDirPrecedence:
         rc = cli.main(["reproduce-paper"])
         assert rc == 0
         assert (env_dir / "reproduction.txt").exists()
+
+
+# runs `python -m pepsearch.cli` with every scipy import failing
+WITHOUT_SCIPY = """\
+import runpy, sys
+
+class BlockScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "scipy":
+            raise ImportError(f"{name} is blocked")
+
+sys.meta_path.insert(0, BlockScipy())
+runpy.run_module("pepsearch.cli", run_name="__main__")
+"""
+
+
+def test_calibrate_runs_without_scipy(small_cfg_path, campaign_dir,
+                                      tmp_path):
+    src = Path(pepsearch.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = tmp_path / "artifacts"
+    proc = subprocess.run(
+        [sys.executable, "-c", WITHOUT_SCIPY, "calibrate", "--input",
+         str(campaign_dir / "on-100A-34d.run"), "--config",
+         str(small_cfg_path), "--output-dir", str(out)],
+        env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert (out / "response.cfg").exists()
 
 
 def test_startup_does_not_load_scipy():
