@@ -4,28 +4,31 @@ File layout (all integers little-endian, fixed width, no padding):
 
     header:
         magic            4 bytes, b"VIP2"
-        format_version   u16        2; version-1 files (80-byte records
-                                    with 32 QDC charges) are rejected
+        format_version   u16        3; version-1 files (80-byte records
+                                    with 32 QDC charges) and version-2
+                                    files (16-byte records with an i32
+                                    sdd_timing_ns) are rejected
         run_id_len       u16
         run_id           run_id_len bytes, UTF-8
         current_ma       u32        applied DC current in milliamperes
         live_time_s      u64        live time in whole seconds
         current_on       u8         0 or 1
         event_count      u64
-    records, event_count times, 16 bytes each:
+    records, event_count times, 12 bytes each:
         timestamp_ns     u64        non-decreasing within one file
         trigger_flags    u8         bit0 SDD self-trigger, bit1 veto inner,
                                     bit2 veto outer
         sdd_id           u8         0..5, or 255 for veto-only records
         adc              u16        raw amplitude channel
-        sdd_timing_ns    i32        SDD time relative to the trigger
 
 A record has sdd_id == 255 exactly when bit0 of trigger_flags is clear.
 The veto decision the analysis cut needs is in trigger_flags; no
-scintillator charges are stored.
+scintillator charges and no SDD timing are stored, since neither the cut
+nor the record checks read them.  The writer always writes
+FORMAT_VERSION, and the reader accepts only that version.
 
 Memory: ``read_run`` reads a file into one buffer and returns a view of
-it, so a reader holds one copy of the records (16 bytes per event);
+it, so a reader holds one copy of the records (12 bytes per event);
 ``write_run`` writes from the caller's array and copies it only when it
 is not contiguous.  ``validate_records`` and ``histogram`` go through the
 records CHUNK_RECORDS at a time, so their masks and the kept channels
@@ -48,7 +51,7 @@ from .errors import (BadMagicError, DomainError, FormatError,
                      UnsupportedVersionError)
 
 MAGIC = b"VIP2"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 TRIGGER_SDD = 0x01
 TRIGGER_VETO_INNER = 0x02
@@ -61,10 +64,9 @@ EVENT_DTYPE = np.dtype([
     ("trigger_flags", "u1"),
     ("sdd_id", "u1"),
     ("adc", "<u2"),
-    ("sdd_timing_ns", "<i4"),
 ])
 RECORD_SIZE = EVENT_DTYPE.itemsize
-CHUNK_RECORDS = 1 << 18     # records checked or counted at a time (4 MiB)
+CHUNK_RECORDS = 1 << 18     # records checked or counted at a time (3 MiB)
 
 _HEAD_FIXED = struct.Struct("<4sHH")          # magic, version, run_id_len
 _HEAD_TAIL = struct.Struct("<IQBQ")           # current_ma, live_time_s, on, count
@@ -79,7 +81,6 @@ class RunHeader:
     live_time_s: int
     current_on: bool
     event_count: int
-    format_version: int = FORMAT_VERSION
 
     @classmethod
     def from_meta(cls, meta: RunMeta, event_count: int) -> "RunHeader":
@@ -136,7 +137,7 @@ def _encode_header(header: RunHeader) -> bytes:
     rid = header.run_id.encode("utf-8")
     if len(rid) > 0xFFFF:
         raise FormatError("run_id longer than 65535 bytes")
-    return (_HEAD_FIXED.pack(MAGIC, header.format_version, len(rid)) + rid
+    return (_HEAD_FIXED.pack(MAGIC, FORMAT_VERSION, len(rid)) + rid
             + _HEAD_TAIL.pack(header.current_ma, header.live_time_s,
                               int(header.current_on), header.event_count))
 
@@ -207,7 +208,7 @@ def read_run(source: BinaryIO | bytes | str | Path) -> tuple[RunHeader, np.ndarr
                           offset=pos - 1 - 8)
     header = RunHeader(run_id=run_id, current_ma=current_ma,
                        live_time_s=live_time_s, current_on=bool(on_byte),
-                       event_count=event_count, format_version=version)
+                       event_count=event_count)
 
     body = len(data) - pos
     expected = event_count * RECORD_SIZE

@@ -11,11 +11,12 @@ muons, violation.  A run of live time T is cut into k = ceil(T / SLICE_S)
 equal time slices.  A component's stream draws its Poisson total first,
 then one multinomial split of it over the slices.  Slice s of the
 component draws from child s of that stream: energies, times (uniform
-in the slice, sorted), normals, detector, timing, then the muon veto
-tags.  Each slice merges its components, concatenated in the order
-above, with a stable sort, so a timestamp tie keeps that order; the run
-is the slices in turn.  Campaigns derive per-run seeds as children of
-the campaign seed (0 = current-on, 1 = current-off).
+in the slice, sorted), normals, detector, then, for the muons alone, an
+SDD timing draw that is discarded and the veto tags.  Each slice merges
+its components, concatenated in the order above, with a stable sort, so
+a timestamp tie keeps that order; the run is the slices in turn.
+Campaigns derive per-run seeds as children of the campaign seed
+(0 = current-on, 1 = current-off).
 
 The violation generator draws Poisson(lambda / f) photons at the shifted
 line energy, where f is the Gaussian ROI containment of that line; the
@@ -171,8 +172,6 @@ def _photon_records(rng: np.random.Generator, t0_s: float, t1_s: float,
     del channels
     out["trigger_flags"] = TRIGGER_SDD
     out["sdd_id"] = rng.integers(0, SDD_COUNT, n)
-    out["sdd_timing_ns"] = rng.integers(
-        -_TIMING_JITTER_NS, _TIMING_JITTER_NS + 1, n, dtype=np.int32)
     return low, high
 
 
@@ -249,6 +248,12 @@ def simulate_run(source: SourceModel, inj: InjectionConfig,
             clamped_low += lo
             clamped_high += hi
             if tag_p > 0:
+                # records carry no SDD timing, but its draw stays here
+                # so the tags keep their place in the slice stream; in
+                # every other component it was the stream's last draw,
+                # so dropping it there changes no event
+                rng.integers(-_TIMING_JITTER_NS, _TIMING_JITTER_NS + 1,
+                             len(out), dtype=np.int32)
                 tagged = rng.random(len(out)) < tag_p
                 out["trigger_flags"][tagged] |= VETO_COINCIDENCE
         # the components are each in time order; a stable sort merges

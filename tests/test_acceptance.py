@@ -18,7 +18,7 @@ from scipy import integrate
 from conftest import CRITERIA_BOARD
 from pepsearch import calibrate, eventio, limits, reference, simulate
 from pepsearch.efficiency import run_efficiency
-from pepsearch.errors import FormatError
+from pepsearch.errors import FormatError, TruncatedFileError
 from pepsearch.eventio import (EVENT_DTYPE, RunHeader, TRIGGER_SDD,
                                TRIGGER_VETO_INNER, TRIGGER_VETO_OUTER,
                                read_run, write_run)
@@ -227,7 +227,6 @@ class TestCriterion7:
         events["sdd_id"] = np.where(veto_only, eventio.VETO_ONLY_SDD_ID,
                                     rng.integers(0, 6, n)).astype(np.uint8)
         events["adc"] = rng.integers(0, 16384, n)
-        events["sdd_timing_ns"] = rng.integers(-500, 501, n)
         return events
 
     def test_round_trip_fuzz(self):
@@ -267,6 +266,35 @@ class TestCriterion7:
                 with pytest.raises(FormatError) as excinfo:
                     read_run(data[:cut])
                 assert excinfo.value.offset is not None
+
+    def test_header_byte_fuzz(self):
+        # every header byte XORed with 0x01, 0x80 and 0xFF, then an
+        # event_count of 2**64 - 1: read_run returns or raises a
+        # FormatError naming an offset; any other exception fails
+        with criterion(7, "header corruption never crashes"):
+            rng = np.random.default_rng(777)
+            cases = []
+            # the empty off-run's header is all ASCII, so a longer run_id
+            # still decodes and its header tail runs past the end
+            for header in (RunHeader("head-check", 100_000, 86400, True, 4),
+                           RunHeader("head-check", 0, 3600, False, 0)):
+                n = header.event_count
+                buffer = io.BytesIO()
+                write_run(header, self.random_events(rng, n), buffer)
+                data = buffer.getvalue()
+                head_size = len(data) - n * eventio.RECORD_SIZE
+                cases += [data[:i] + bytes([data[i] ^ mask]) + data[i + 1:]
+                          for i in range(head_size)
+                          for mask in (0x01, 0x80, 0xFF)]
+            huge = data[:head_size - 8] + (2**64 - 1).to_bytes(8, "little")
+            for case in cases + [huge]:
+                try:
+                    read_run(case)
+                except FormatError as exc:
+                    assert exc.offset is not None
+            with pytest.raises(TruncatedFileError) as excinfo:
+                read_run(huge)
+            assert excinfo.value.offset == len(data)
 
 
 class TestCriterion8:

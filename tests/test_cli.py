@@ -7,12 +7,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import pepsearch
 from pepsearch import cli, config, limits, reference
 from pepsearch.efficiency import EfficiencyResult, render_efficiency_report
-from pepsearch.eventio import read_run
+from pepsearch.eventio import EVENT_DTYPE, _encode_header, read_run
 
 # 3 d on / 2 d off keeps full-source simulations fast while leaving
 # calibration statistics comfortable; reproduce-paper reads only the
@@ -27,9 +28,9 @@ OFF_SMALL_S = 172_800
 # whose rounding may differ between numpy builds.
 PINNED_SHA256 = {
     "on-100A-34d.run":
-        "5dc8ad5508d3c92845a08611734994584df09b016a5f9f0cd8709dbda7c3263d",
+        "f8dd3f4ee75b28ef7aade56288790ae1c18bd477de4cd55124a4307bf85dcfdd",
     "off-0A-28d.run":
-        "3bf5afc910fa2977a5a5b7616a1cdd5c1a149a3590fa6fe0854d92f4614a7fad",
+        "18b35170b201110817af9dc3c528cdf01bba87bbb408bcda2245e1bb96a7cea4",
     "on-100A-34d_generation.txt":
         "ef34e6a5678fd6e0e8c72ec8d7c7462e647cb39d1afb67d1506d6bc0d68c028f",
     "off-0A-28d_generation.txt":
@@ -482,6 +483,31 @@ class TestExitCodes:
         assert err.startswith("error:")
         assert "\n" not in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["calibrate", "analyze"])
+    def test_version_2_run_file(self, command, small_cfg_path, campaign_dir,
+                                tmp_path, capsys):
+        # the on-run rewritten as format version 2: 16-byte records that
+        # end in an i32 sdd_timing_ns
+        header, events = read_run(campaign_dir / "on-100A-34d.run")
+        v2 = np.zeros(len(events), np.dtype(EVENT_DTYPE.descr
+                                            + [("sdd_timing_ns", "<i4")]))
+        for name in EVENT_DTYPE.names:
+            v2[name] = events[name]
+        head = bytearray(_encode_header(header))
+        head[4:6] = (2).to_bytes(2, "little")
+        old = tmp_path / "v2.run"
+        old.write_bytes(bytes(head) + v2.tobytes())
+        argv = {"calibrate": ["calibrate", "--input", str(old)],
+                "analyze": ["analyze", "--on", str(old), "--off",
+                            str(campaign_dir / "off-0A-28d.run")]}[command]
+        out = tmp_path / "out"
+        rc = cli.main(argv + ["--config", str(small_cfg_path),
+                              "--output-dir", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == \
+            "error: unsupported format version 2 (byte offset 4)\n"
+        assert not any(out.glob("*"))
 
 
 class TestOutputDirPrecedence:

@@ -1,6 +1,5 @@
 """Binary run-file format and histogramming."""
 
-import dataclasses
 import io
 
 import numpy as np
@@ -21,7 +20,6 @@ def make_events(n, rng=None, sorted_ts=True):
     ev["trigger_flags"] = eventio.TRIGGER_SDD
     ev["sdd_id"] = rng.integers(0, 6, size=n)
     ev["adc"] = rng.integers(0, 16384, size=n)
-    ev["sdd_timing_ns"] = rng.integers(-500, 500, size=n)
     return ev
 
 
@@ -143,12 +141,22 @@ class TestReadErrors:
 
     def test_version_1_rejected(self):
         # version 1 carried 80-byte records with 32 QDC charges
-        assert eventio.FORMAT_VERSION == 2 and eventio.RECORD_SIZE == 16
-        v1 = dataclasses.replace(header_for(make_events(3)), format_version=1)
-        data = eventio._encode_header(v1) + bytes(3 * 80)
+        assert eventio.FORMAT_VERSION == 3 and eventio.RECORD_SIZE == 12
+        data = bytearray(self._bytes())
+        data[4:6] = (1).to_bytes(2, "little")
         with pytest.raises(UnsupportedVersionError) as err:
-            eventio.read_run(data)
+            eventio.read_run(bytes(data))
         assert err.value.offset == 4
+
+    def test_version_2_rejected(self):
+        # version 2 carried 16-byte records with an i32 sdd_timing_ns
+        data = bytearray(self._bytes())
+        data[4:6] = (2).to_bytes(2, "little")
+        with pytest.raises(UnsupportedVersionError) as err:
+            eventio.read_run(bytes(data))
+        assert err.value.offset == 4
+        assert str(err.value) == \
+            "unsupported format version 2 (byte offset 4)"
 
     def test_run_id_not_utf8(self):
         data = bytearray(self._bytes())
@@ -156,6 +164,14 @@ class TestReadErrors:
         with pytest.raises(FormatError) as err:
             eventio.read_run(bytes(data))
         assert err.value.offset == 8
+
+    def test_current_on_not_a_flag(self):
+        data = bytearray(self._bytes(3))
+        on_at = len(data) - 3 * eventio.RECORD_SIZE - 9   # before the count
+        data[on_at] = 2
+        with pytest.raises(FormatError) as err:
+            eventio.read_run(bytes(data))
+        assert err.value.offset == on_at
 
     def test_truncation_every_offset(self):
         data = self._bytes(3)

@@ -27,9 +27,9 @@ def reference_run(source, response, live, seed, n_slices):
     multinomial draw splits it over ``n_slices`` equal time slices.  Slice
     s of a component draws from child s of its stream, with the plain
     (not in-place) arithmetic: energies, sorted times, normals, detector,
-    timing, then the muon tags.  Each slice is ordered by ``lexsort`` with
-    an explicit index tiebreak over the components in order, and the
-    slices are concatenated.
+    then, for the muons, the unstored timing and the tags.  Each slice is
+    ordered by ``lexsort`` with an explicit index tiebreak over the
+    components in order, and the slices are concatenated.
     """
     assert source.continuum.rate_hz == 0 and source.calibration_rate_hz == 0
     streams = np.random.SeedSequence(seed).spawn(len(source.lines) + 4)
@@ -64,9 +64,8 @@ def reference_run(source, response, live, seed, n_slices):
             events["trigger_flags"] = eventio.TRIGGER_SDD
             events["sdd_id"] = rng.integers(0, core.SDD_COUNT, n)
             events["adc"] = channels
-            events["sdd_timing_ns"] = rng.integers(-500, 501, n,
-                                                   dtype=np.int32)
             if tag_p > 0:
+                rng.integers(-500, 501, n, dtype=np.int32)
                 tagged = rng.random(n) < tag_p
                 events["trigger_flags"][tagged] |= eventio.VETO_COINCIDENCE
             parts.append(events)
@@ -396,10 +395,10 @@ class _NullSink:
 class TestMemoryBound:
     """Traced peak bytes per event of each stage that holds a run.
 
-    A record is 16 bytes.  Generation holds the run's records plus one
-    day's slice, so its peak per event does not grow with the live time;
-    writing adds almost nothing, and reading holds one copy of the
-    records plus one chunk's masks.
+    A record is ``eventio.RECORD_SIZE`` bytes.  Generation holds the
+    run's records plus one day's slice, so its peak per event does not
+    grow with the live time; writing adds almost nothing, and reading
+    holds one copy of the records plus one chunk's masks.
     """
 
     @staticmethod
@@ -427,7 +426,7 @@ class TestMemoryBound:
     def test_simulate_run_peak(self, generated):
         (_, events, _), peak = generated
         assert len(events) >= 1_500_000
-        assert peak / len(events) <= 24.0
+        assert peak / len(events) <= 20.0
 
     def test_peak_per_event_does_not_grow(self, cfg, no_injection,
                                           generated):
@@ -456,7 +455,7 @@ class TestMemoryBound:
 
         spec, peak = self.traced_peak(count)
         assert spec.counts.sum() + spec.underflow + spec.overflow > 0
-        assert peak / len(events) <= 20.0
+        assert peak / len(events) <= 16.0
 
 
 class TestSourceValidation:
