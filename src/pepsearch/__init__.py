@@ -2,7 +2,7 @@
 exclusion-principle tests with x-ray detectors."""
 
 from .core import (EmissionLine, GeometryConfig, PhysicsConstants,
-                   ResponseModel, RunMeta, fwhm_to_sigma, sigma_to_fwhm)
+                   ResponseModel, RunMeta, fwhm_to_sigma)
 from .efficiency import EfficiencyResult, run_efficiency
 from .errors import (CalibrationError, ConfigError, DomainError, FitError,
                      FormatError)
@@ -24,6 +24,6 @@ __all__ = [
     "Spectrum", "SubtractionResult", "compute_limit", "count_roi",
     "expected_violation_counts", "fwhm_to_sigma", "histogram",
     "normalize_livetime", "project_sensitivity", "read_run",
-    "run_efficiency", "sigma_to_fwhm", "simulate_campaign", "simulate_run",
-    "subtract", "write_run", "__version__",
+    "run_efficiency", "simulate_campaign", "simulate_run", "subtract",
+    "write_run", "__version__",
 ]

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FWHM_OVER_SIGMA, ResponseModel
+from .core import FWHM_OVER_SIGMA
 from .errors import CalibrationError, FitError
 from .eventio import Spectrum
 
@@ -34,7 +34,6 @@ CONVERGED_CHI2_DROP = 1e-10     # rounding leaves under 1e-14
 # up to 1.63 on single lines of a few thousand counts, where the weights
 # 1/max(counts, 1) inflate chi2; a doublet fitted as one line reads more
 MAX_REDUCED_CHI2 = 2.0
-DEFAULT_RESIDUAL_THRESHOLD_EV = 5.0
 
 
 def prominent_peaks(x: np.ndarray, min_prominence: float,
@@ -83,7 +82,7 @@ def prominent_peaks(x: np.ndarray, min_prominence: float,
 
 
 def find_peaks(raw: Spectrum, min_prominence: float, expected_count: int,
-               smooth_sigma_channels: float = 85.0) -> np.ndarray:
+               smooth_sigma_channels: float) -> np.ndarray:
     """Candidate peak positions, most prominent first.
 
     The spectrum is smoothed with a moving average as wide as the
@@ -292,9 +291,8 @@ class CalibrationResult:
         return max((abs(r) for _, r in self.residuals), default=0.0)
 
 
-def fit_calibration(anchors, crosschecks=(),
-                    residual_threshold_ev: float =
-                    DEFAULT_RESIDUAL_THRESHOLD_EV) -> CalibrationResult:
+def fit_calibration(anchors, crosschecks=(), *,
+                    residual_threshold_ev: float) -> CalibrationResult:
     """Weighted affine fit energy = offset + gain * channel.
 
     `anchors` and `crosschecks` are sequences of (PeakFit, energy_ev);
@@ -375,13 +373,12 @@ def _fit_cluster(raw: Spectrum, channels: np.ndarray, half: float,
     return _fit_window(raw, channels[0] - half, channels[-1] + half, expected)
 
 
-def calibrate_spectrum(raw: Spectrum, anchor_lines, crosscheck_lines=(),
-                       expected_fwhm_ev: float = 200.0,
-                       approx_gain_ev_per_channel: float = 1.0,
-                       min_prominence: float = 20.0,
-                       window_halfwidth_sigmas: float = 2.5,
-                       residual_threshold_ev: float =
-                       DEFAULT_RESIDUAL_THRESHOLD_EV,
+def calibrate_spectrum(raw: Spectrum, anchor_lines, crosscheck_lines=(), *,
+                       expected_fwhm_ev: float,
+                       approx_gain_ev_per_channel: float,
+                       min_prominence: float,
+                       window_halfwidth_sigmas: float,
+                       residual_threshold_ev: float,
                        ) -> tuple[CalibrationResult, dict]:
     """Full chain: peak search, per-peak fits, affine energy map.
 
@@ -417,17 +414,6 @@ def calibrate_spectrum(raw: Spectrum, anchor_lines, crosscheck_lines=(),
     result = fit_calibration(anchors, checks,
                              residual_threshold_ev=residual_threshold_ev)
     return result, fits
-
-
-def response_from_calibration(result: CalibrationResult,
-                              channel_count: int,
-                              reference_energy_ev: float) -> ResponseModel:
-    """Measured response usable by the energy-axis histogrammer."""
-    return ResponseModel(fwhm_at_reference_ev=result.resolution_fwhm_at_8kev,
-                         reference_energy_ev=reference_energy_ev,
-                         gain_ev_per_channel=result.gain_ev_per_channel,
-                         offset_ev=result.offset_ev,
-                         channel_count=channel_count)
 
 
 def render_calibration_report(result: CalibrationResult, fits: dict,

@@ -168,7 +168,8 @@ def cmd_analyze(args, cfg, out: Path) -> int:
     if args.calibration:
         response = config_mod.load_response_file(args.calibration)
     record, on_spec, off_spec = analyze_runs(
-        cfg, Path(args.on), Path(args.off), response, args.error_mode)
+        cfg, Path(args.on), Path(args.off), response,
+        args.error_mode or cfg.limit.error_mode)
     for name, spec in (("spectrum_on.txt", on_spec),
                        ("spectrum_off.txt", off_spec)):
         with _atomic_write(out / name) as fh:
@@ -275,8 +276,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--off", required=True, metavar="RUNFILE")
     p.add_argument("--calibration", metavar="RESPONSEFILE",
                    help="use a measured [response] instead of the config")
-    p.add_argument("--error-mode", default="paper-naive",
-                   choices=list(limits_mod.ERROR_MODES))
+    p.add_argument("--error-mode", choices=list(limits_mod.ERROR_MODES),
+                   help="default: the config's [limit] error_mode")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("limit", parents=[shared],

@@ -106,13 +106,6 @@ def fwhm_to_sigma(fwhm: float) -> float:
     return fwhm / FWHM_OVER_SIGMA
 
 
-def sigma_to_fwhm(sigma: float) -> float:
-    """Inverse of :func:`fwhm_to_sigma`."""
-    if sigma <= 0:
-        raise DomainError(f"sigma must be positive, got {sigma}")
-    return sigma * FWHM_OVER_SIGMA
-
-
 @dataclass(frozen=True)
 class EmissionLine:
     """A fluorescence line: label, energy in eV, intensity relative to the
@@ -120,7 +113,7 @@ class EmissionLine:
 
     label: str
     energy_ev: float
-    relative_intensity: float = 1.0
+    relative_intensity: float
 
     def __post_init__(self):
         if self.energy_ev <= 0:
@@ -139,13 +132,13 @@ class PhysicsConstants:
     bound as an equality gives the weakest (conservative) expected signal.
     """
 
-    electron_charge_c: float = 1.602e-19
-    electron_mean_free_path_cm: float = 3.9e-6   # in copper
-    strip_length_cm: float = 10.0
-    cu_attenuation_length_cm: float = 2.1e-3     # ~8 keV photons in copper
-    si_attenuation_length_cm: float = 7.0e-3     # ~8 keV photons in silicon
-    sdd_thickness_cm: float = 0.045
-    capture_fraction: float = 0.1
+    electron_charge_c: float
+    electron_mean_free_path_cm: float   # in copper
+    strip_length_cm: float
+    cu_attenuation_length_cm: float     # ~8 keV photons in copper
+    si_attenuation_length_cm: float     # ~8 keV photons in silicon
+    sdd_thickness_cm: float
+    capture_fraction: float
 
     def __post_init__(self):
         for name in ("electron_charge_c", "electron_mean_free_path_cm",
@@ -165,11 +158,11 @@ class ResponseModel:
     figure applies at ``reference_energy_ev``.
     """
 
-    fwhm_at_reference_ev: float = 200.0
-    reference_energy_ev: float = 8040.0
-    gain_ev_per_channel: float = 1.0
-    offset_ev: float = 0.0
-    channel_count: int = 16384
+    fwhm_at_reference_ev: float
+    reference_energy_ev: float
+    gain_ev_per_channel: float
+    offset_ev: float
+    channel_count: int
 
     def __post_init__(self):
         if self.fwhm_at_reference_ev <= 0:
@@ -211,7 +204,7 @@ class DetectorPlate:
     center_z_cm: float
     width_x_cm: float
     width_y_cm: float
-    normal_z: int = -1
+    normal_z: int
 
     def __post_init__(self):
         if self.width_x_cm < 0 or self.width_y_cm < 0:
@@ -237,10 +230,10 @@ class GeometryConfig:
     loader enforces the stricter analysis-grade invariants.
     """
 
-    strip_length_cm: float = 10.0
-    strip_width_cm: float = 2.0
-    strip_thickness_cm: float = 0.005
-    detectors: tuple[DetectorPlate, ...] = ()
+    strip_length_cm: float
+    strip_width_cm: float
+    strip_thickness_cm: float
+    detectors: tuple[DetectorPlate, ...]
 
     def __post_init__(self):
         if min(self.strip_length_cm, self.strip_width_cm,
@@ -252,10 +245,6 @@ class GeometryConfig:
                 if _plates_overlap(a, b):
                     raise ConfigError(
                         f"detectors {a.det_id} and {b.det_id} overlap")
-
-    @property
-    def detector_count(self) -> int:
-        return len(self.detectors)
 
 
 @dataclass(frozen=True)

@@ -59,14 +59,6 @@ def exit_distance(points: np.ndarray, directions: np.ndarray,
     return np.min(t_far, axis=1)
 
 
-def transmission_probability(points: np.ndarray, directions: np.ndarray,
-                             geometry: GeometryConfig,
-                             consts: PhysicsConstants) -> np.ndarray:
-    """exp(-path_to_exit / cu_attenuation_length) along each ray."""
-    return np.exp(-exit_distance(points, directions, geometry)
-                  / consts.cu_attenuation_length_cm)
-
-
 def accepts(exit_points: np.ndarray, directions: np.ndarray,
             geometry: GeometryConfig) -> tuple[np.ndarray, np.ndarray]:
     """Ray-rectangle test against every detector plate.
@@ -137,7 +129,7 @@ def _batch_sums(geometry: GeometryConfig, consts: PhysicsConstants,
 
 
 def run_efficiency(geometry: GeometryConfig, consts: PhysicsConstants,
-                   samples: int, seed: int, batch_size: int = 262_144,
+                   samples: int, seed: int, batch_size: int,
                    workers: int = 1) -> EfficiencyResult:
     """Estimate the detection efficiency with `samples` photons.
 

@@ -82,6 +82,14 @@ class RunHeader:
     current_on: bool
     event_count: int
 
+    def __post_init__(self):
+        for name, bits in (("current_ma", 32), ("live_time_s", 64),
+                           ("event_count", 64)):
+            value = getattr(self, name)
+            if not 0 <= value < 1 << bits:
+                raise FormatError(f"run header {name} = {value} does not "
+                                  f"fit its u{bits} field")
+
     @classmethod
     def from_meta(cls, meta: RunMeta, event_count: int) -> "RunHeader":
         return cls(run_id=meta.run_id,

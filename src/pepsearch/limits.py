@@ -61,10 +61,6 @@ class RoiDefinition:
     def width_ev(self) -> float:
         return self.high_ev - self.low_ev
 
-    @property
-    def center_ev(self) -> float:
-        return 0.5 * (self.low_ev + self.high_ev)
-
 
 def count_roi(spec: Spectrum, roi: RoiDefinition) -> Measurement:
     """Sum the bins whose centers fall in [roi.low, roi.high).
@@ -84,8 +80,7 @@ def count_roi(spec: Spectrum, roi: RoiDefinition) -> Measurement:
 
 
 def normalize_livetime(count: Measurement, from_seconds: float,
-                       to_seconds: float,
-                       mode: str = ERROR_MODE_PAPER) -> Measurement:
+                       to_seconds: float, mode: str) -> Measurement:
     """Scale a count to a different live time.
 
     paper-naive mode takes sqrt(scaled value) as the uncertainty, the
@@ -123,8 +118,8 @@ class SubtractionResult:
 
 
 def subtract(on: Measurement, off_normalized: Measurement,
-             normalization_factor: float = 1.0,
-             error_mode: str = ERROR_MODE_PAPER) -> SubtractionResult:
+             normalization_factor: float,
+             error_mode: str) -> SubtractionResult:
     """Subtract two same-footing counts; uncertainties add in quadrature."""
     delta = Measurement(
         on.value - off_normalized.value,
@@ -169,11 +164,10 @@ class LimitResult:
 
 def compute_limit(delta: SubtractionResult, run: RunMeta,
                   consts: PhysicsConstants, efficiency: float,
-                  n_sigma: float = 3.0,
-                  bound_convention: str = BOUND_PAPER) -> LimitResult:
+                  n_sigma: float, bound_convention: str) -> LimitResult:
     """Turn a subtraction result into a beta^2/2 upper bound.
 
-    The default "paper" convention bounds the excess by n_sigma times its
+    The "paper" convention bounds the excess by n_sigma times its
     uncertainty regardless of the central value.  The alternative
     "central-plus-nsigma" convention uses delta + n_sigma*sigma, clamped
     at zero.
@@ -219,7 +213,7 @@ class ProjectionResult:
 def project_sensitivity(target_beta2_over_2: float, sigma_delta_ref: float,
                         live_time_ref_s: float, consts: PhysicsConstants,
                         efficiency: float, current_a: float,
-                        n_sigma: float = 3.0) -> ProjectionResult:
+                        n_sigma: float) -> ProjectionResult:
     """Invert the limit formula for the live time reaching a target bound.
 
     Two answers are reported.  With a background-dominated uncertainty,
@@ -237,9 +231,10 @@ def project_sensitivity(target_beta2_over_2: float, sigma_delta_ref: float,
     ref_run = RunMeta(run_id="projection-reference", current_a=current_a,
                       live_time_s=live_time_ref_s, current_on=True)
     ref_delta = subtract(Measurement(0.0, sigma_delta_ref),
-                         Measurement(0.0, 0.0))
+                         Measurement(0.0, 0.0), normalization_factor=1.0,
+                         error_mode=ERROR_MODE_PAPER)
     ref = compute_limit(ref_delta, ref_run, consts, efficiency,
-                        n_sigma=n_sigma)
+                        n_sigma=n_sigma, bound_convention=BOUND_PAPER)
     factor = ref.beta2_over_2_limit / target_beta2_over_2
     scaling = live_time_ref_s * factor * factor
     fixed = live_time_ref_s * factor

@@ -50,11 +50,11 @@ SLICE_S = 86400.0       # a run is generated in slices of at most one day
 class ContinuumModel:
     """Smooth background component between low_ev and high_ev."""
 
-    shape: str = CONTINUUM_FLAT
-    rate_hz: float = 0.0
-    low_ev: float = 2000.0
-    high_ev: float = 12000.0
-    scale_ev: float | None = None     # decay constant, exponential only
+    shape: str
+    rate_hz: float
+    low_ev: float
+    high_ev: float
+    scale_ev: float | None     # decay constant, exponential only
 
     def __post_init__(self):
         if self.shape not in (CONTINUUM_FLAT, CONTINUUM_EXPONENTIAL):
@@ -81,12 +81,12 @@ class ContinuumModel:
 class SourceModel:
     """Everything that makes the detectors count, except the signal."""
 
-    lines: tuple[tuple[EmissionLine, float], ...] = ()
-    continuum: ContinuumModel = ContinuumModel()
-    calibration_rate_hz: float = 0.0
-    calibration_lines: tuple[EmissionLine, ...] = ()
-    muon_rate_hz: float = 0.0
-    veto_tag_probability: float = 0.9
+    lines: tuple[tuple[EmissionLine, float], ...]
+    continuum: ContinuumModel
+    calibration_rate_hz: float
+    calibration_lines: tuple[EmissionLine, ...]
+    muon_rate_hz: float
+    veto_tag_probability: float
 
     def __post_init__(self):
         for line, rate in self.lines:
@@ -105,8 +105,8 @@ class InjectionConfig:
     """Strength and energy of the simulated violation signal."""
 
     line_energy_ev: float
-    beta2_over_2: float = 0.0
-    enabled: bool = False
+    beta2_over_2: float
+    enabled: bool
 
     def __post_init__(self):
         if self.beta2_over_2 < 0:
@@ -230,7 +230,8 @@ def simulate_run(source: SourceModel, inj: InjectionConfig,
         counts[c] = rng.multinomial(n, [1.0 / n_slices] * n_slices)
         slice_streams.append(stream.spawn(n_slices))
 
-    events = np.empty(int(counts.sum()), dtype=EVENT_DTYPE)
+    header = RunHeader.from_meta(run, int(counts.sum()))
+    events = np.empty(header.event_count, dtype=EVENT_DTYPE)
     clamped_low = clamped_high = pos = 0
     for s in range(n_slices):
         t0, t1 = live * s / n_slices, live * (s + 1) / n_slices
@@ -270,7 +271,6 @@ def simulate_run(source: SourceModel, inj: InjectionConfig,
                                                     counts.sum(axis=1))]
     tallies.append(ComponentTally("clamped_low", 0.0, clamped_low))
     tallies.append(ComponentTally("clamped_high", 0.0, clamped_high))
-    header = RunHeader.from_meta(run, len(events))
     return header, events, tuple(tallies)
 
 

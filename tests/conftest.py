@@ -10,6 +10,18 @@ from pepsearch import config as config_mod
 CRITERIA_BOARD: list[tuple[int, str, bool]] = []
 
 
+def calibration_kwargs(cfg, **overrides):
+    """The keyword settings of ``calibrate_spectrum`` that the calibrate
+    stage takes from the config, with ``overrides`` applied."""
+    return {
+        "expected_fwhm_ev": cfg.response.fwhm_at_reference_ev,
+        "approx_gain_ev_per_channel": cfg.response.gain_ev_per_channel,
+        "min_prominence": cfg.calibration.min_prominence,
+        "window_halfwidth_sigmas": cfg.calibration.window_halfwidth_sigmas,
+        "residual_threshold_ev": cfg.calibration.residual_threshold_ev,
+        **overrides}
+
+
 @pytest.fixture(scope="session")
 def cfg():
     return config_mod.load_default_config()
@@ -24,6 +36,21 @@ def quiet_source(cfg):
     """
     return dataclasses.replace(cfg.source, calibration_rate_hz=0.0,
                                calibration_lines=())
+
+
+@pytest.fixture(scope="session")
+def consts(cfg):
+    return cfg.constants
+
+
+@pytest.fixture(scope="session")
+def silent_source(cfg):
+    """Default source with every rate at zero: tests switch on the one
+    component they study with ``dataclasses.replace``."""
+    return dataclasses.replace(
+        cfg.source, lines=(),
+        continuum=dataclasses.replace(cfg.source.continuum, rate_hz=0.0),
+        calibration_rate_hz=0.0, calibration_lines=(), muon_rate_hz=0.0)
 
 
 @pytest.fixture(scope="session")

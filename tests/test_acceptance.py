@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from conftest import CRITERIA_BOARD
+from conftest import CRITERIA_BOARD, calibration_kwargs
 from pepsearch import calibrate, eventio, limits, reference, simulate
 from pepsearch.efficiency import run_efficiency
 from pepsearch.errors import FormatError, TruncatedFileError
@@ -117,14 +117,17 @@ class TestCriterion3:
                 n_on = limits.Measurement(raw_on, math.sqrt(raw_on))
                 n_off = limits.normalize_livetime(
                     limits.Measurement(raw_off, math.sqrt(raw_off)),
-                    off_run.live_time_s, on_run.live_time_s)
+                    off_run.live_time_s, on_run.live_time_s,
+                    limits.ERROR_MODE_PAPER)
                 sub = limits.subtract(
                     n_on, n_off,
                     normalization_factor=(on_run.live_time_s
-                                          / off_run.live_time_s))
+                                          / off_run.live_time_s),
+                    error_mode=limits.ERROR_MODE_PAPER)
                 pulls.append(sub.delta.value / sub.delta.uncertainty)
                 bounds.append(limits.compute_limit(
-                    sub, on_run, cfg.constants, eff).beta2_over_2_limit)
+                    sub, on_run, cfg.constants, eff, n_sigma=3.0,
+                    bound_convention=limits.BOUND_PAPER).beta2_over_2_limit)
 
             assert abs(float(np.mean(pulls))) < 0.3
 
@@ -146,7 +149,8 @@ class TestCriterion4:
         with criterion(4, "efficiency Monte Carlo"):
             geometry = cfg.geometry
             consts = cfg.constants
-            result = run_efficiency(geometry, consts, 1_000_000, seed=3)
+            result = run_efficiency(geometry, consts, 1_000_000, seed=3,
+                                    batch_size=cfg.efficiency.batch_size)
             assert 0.005 <= result.efficiency <= 0.02
             assert result.mc_uncertainty / result.efficiency < 0.05
 
@@ -178,27 +182,17 @@ class TestCriterion5:
                     events, None, cfg.response.channel_count, -0.5,
                     cfg.response.channel_count - 0.5, run.live_time_s)
                 result, _ = calibrate.calibrate_spectrum(
-                    raw, anchors, checks,
-                    expected_fwhm_ev=cfg.response.fwhm_at_reference_ev,
-                    approx_gain_ev_per_channel=(
-                        cfg.response.gain_ev_per_channel),
-                    min_prominence=cfg.calibration.min_prominence,
-                    window_halfwidth_sigmas=(
-                        cfg.calibration.window_halfwidth_sigmas),
-                    residual_threshold_ev=(
-                        cfg.calibration.residual_threshold_ev))
+                    raw, anchors, checks, **calibration_kwargs(cfg))
                 assert abs(result.gain_ev_per_channel - 1.0) < 0.001
                 assert abs(result.offset_ev) < 1.0
                 assert abs(result.resolution_fwhm_at_8kev - 200.0) < 5.0
 
 
 class TestCriterion6:
-    def test_roi_gaussian_fraction(self, cfg, no_injection):
+    def test_roi_gaussian_fraction(self, cfg, silent_source, no_injection):
         with criterion(6, "ROI containment of the search line"):
             pep = cfg.lines["pep_forbidden"]
-            pure = simulate.SourceModel(
-                lines=((pep, 12.0),),
-                continuum=simulate.ContinuumModel(rate_hz=0.0))
+            pure = dataclasses.replace(silent_source, lines=((pep, 12.0),))
             day_run = dataclasses.replace(cfg.run_on, live_time_s=86400)
             _, events, _ = simulate.simulate_run(
                 pure, no_injection, cfg.response, cfg.limit.efficiency,

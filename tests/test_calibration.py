@@ -6,8 +6,9 @@ import math
 import numpy as np
 import pytest
 
+from conftest import calibration_kwargs
 from pepsearch import calibrate, config, eventio, simulate
-from pepsearch.core import FWHM_OVER_SIGMA, ResponseModel, RunMeta
+from pepsearch.core import FWHM_OVER_SIGMA, RunMeta
 from pepsearch.errors import CalibrationError, FitError
 
 NBINS = 16384
@@ -28,7 +29,7 @@ def calibration_run_spectrum(cfg, response, live_s, rate_hz, seed):
     """Channel spectrum of a calibration-source-only run."""
     source = dataclasses.replace(
         cfg.source, lines=(), muon_rate_hz=0.0,
-        continuum=simulate.ContinuumModel(),
+        continuum=dataclasses.replace(cfg.source.continuum, rate_hz=0.0),
         calibration_rate_hz=rate_hz)
     run = RunMeta("cal", 0.0, live_s, False)
     no_injection = dataclasses.replace(cfg.injection, enabled=False)
@@ -42,14 +43,15 @@ def calibration_run_spectrum(cfg, response, live_s, rate_hz, seed):
 
 def run_closed_loop(cfg, gain, offset, seed, live_s=86400.0, rate_hz=20.0,
                     residual_threshold_ev=5.0):
-    response = ResponseModel(gain_ev_per_channel=gain, offset_ev=offset)
+    response = dataclasses.replace(cfg.response, gain_ev_per_channel=gain,
+                                   offset_ev=offset)
     spec = calibration_run_spectrum(cfg, response, live_s, rate_hz, seed)
     anchors = [cfg.lines[label] for label in cfg.calibration.anchors]
     checks = [cfg.lines[label] for label in cfg.calibration.crosschecks]
     return calibrate.calibrate_spectrum(
-        spec, anchors, checks, expected_fwhm_ev=200.0,
-        approx_gain_ev_per_channel=gain,
-        residual_threshold_ev=residual_threshold_ev)
+        spec, anchors, checks, **calibration_kwargs(
+            cfg, approx_gain_ev_per_channel=gain,
+            residual_threshold_ev=residual_threshold_ev))
 
 
 class TestFindPeaks:
@@ -59,7 +61,8 @@ class TestFindPeaks:
         rng = np.random.default_rng(22)
         counts = gauss_counts(rng, 10_000, 3000, 85) \
             + gauss_counts(rng, 10_000, 9000, 85)
-        found = calibrate.find_peaks(channel_spectrum(counts), 5.0, 2)
+        found = calibrate.find_peaks(channel_spectrum(counts), 5.0, 2,
+                                     smooth_sigma_channels=85.0)
         top_two = np.sort(found[:2])
         assert abs(top_two[0] - 3000) <= 1.0
         assert abs(top_two[1] - 9000) <= 1.0
@@ -68,17 +71,20 @@ class TestFindPeaks:
         rng = np.random.default_rng(22)
         counts = gauss_counts(rng, 40_000, 3000, 85) \
             + gauss_counts(rng, 10_000, 9000, 85)
-        found = calibrate.find_peaks(channel_spectrum(counts), 5.0, 2)
+        found = calibrate.find_peaks(channel_spectrum(counts), 5.0, 2,
+                                     smooth_sigma_channels=85.0)
         assert abs(found[0] - 3000) <= 2.0    # stronger peak ranks first
 
     def test_flat_spectrum_has_no_peaks(self):
         counts = np.full(NBINS, 50)
         with pytest.raises(CalibrationError):
-            calibrate.find_peaks(channel_spectrum(counts), 10.0, 1)
+            calibrate.find_peaks(channel_spectrum(counts), 10.0, 1,
+                                 smooth_sigma_channels=85.0)
 
     def test_empty_spectrum(self):
         with pytest.raises(CalibrationError):
-            calibrate.find_peaks(channel_spectrum(np.zeros(NBINS)), 10.0, 1)
+            calibrate.find_peaks(channel_spectrum(np.zeros(NBINS)), 10.0, 1,
+                                 smooth_sigma_channels=85.0)
 
     def test_delta_spike(self):
         counts = np.zeros(NBINS, dtype=np.int64)
@@ -109,10 +115,12 @@ class TestFitGaussian:
 
     def test_simulated_line_fwhm(self, cfg, quiet_source, no_injection):
         # closed loop against the generator: 200 eV FWHM in, 200 +/- 3 out
-        response = ResponseModel()
+        response = cfg.response
         source = dataclasses.replace(
             quiet_source, lines=((cfg.lines["cu_ka"], 1.0),),
-            continuum=simulate.ContinuumModel(), muon_rate_hz=0.0)
+            continuum=dataclasses.replace(quiet_source.continuum,
+                                          rate_hz=0.0),
+            muon_rate_hz=0.0)
         run = RunMeta("res", 0.0, 86400.0, False)
         _, events, _ = simulate.simulate_run(
             source, no_injection, response, 0.01, run, cfg.constants,
@@ -201,7 +209,8 @@ class TestFitCalibration:
                    for e in (4510.84, 5898.75)]
         checks = [(exact_peak((e - offset) / gain), e)
                   for e in (4931.81, 6490.45)]
-        result = calibrate.fit_calibration(anchors, checks)
+        result = calibrate.fit_calibration(anchors, checks,
+                                           residual_threshold_ev=5.0)
         assert result.gain_ev_per_channel == pytest.approx(gain, rel=1e-12)
         assert result.offset_ev == pytest.approx(offset, abs=1e-9)
         assert result.max_abs_residual_ev < 1e-9
@@ -212,24 +221,25 @@ class TestFitCalibration:
 
     def test_needs_two_anchors(self):
         with pytest.raises(CalibrationError):
-            calibrate.fit_calibration([(exact_peak(1000.0), 2000.0)])
+            calibrate.fit_calibration([(exact_peak(1000.0), 2000.0)],
+                                      residual_threshold_ev=5.0)
 
     def test_degenerate_same_channel(self):
         anchors = [(exact_peak(1000.0), 2000.0), (exact_peak(1000.0), 4000.0)]
         with pytest.raises(CalibrationError):
-            calibrate.fit_calibration(anchors)
+            calibrate.fit_calibration(anchors, residual_threshold_ev=5.0)
 
     def test_negative_gain_rejected(self):
         anchors = [(exact_peak(1000.0), 6000.0), (exact_peak(2000.0), 4000.0)]
         with pytest.raises(CalibrationError):
-            calibrate.fit_calibration(anchors)
+            calibrate.fit_calibration(anchors, residual_threshold_ev=5.0)
 
     def test_residual_threshold(self):
         anchors = [(exact_peak(1000.0), 2000.0),
                    (exact_peak(2000.0), 4020.0),
                    (exact_peak(3000.0), 6000.0)]
         with pytest.raises(CalibrationError):
-            calibrate.fit_calibration(anchors)
+            calibrate.fit_calibration(anchors, residual_threshold_ev=5.0)
         result = calibrate.fit_calibration(anchors,
                                            residual_threshold_ev=50.0)
         # equal weights: affine fit leaves (-20/3, +40/3, -20/3) eV
@@ -243,7 +253,8 @@ class TestFitCalibration:
         # peak sits 3 eV above where the true map puts the line, so the
         # residual (known minus predicted) comes out at -3
         checks = [(exact_peak((4931.81 + 3.0) / gain), 4931.81)]
-        result = calibrate.fit_calibration(anchors, checks)
+        result = calibrate.fit_calibration(anchors, checks,
+                                           residual_threshold_ev=5.0)
         assert result.gain_ev_per_channel == pytest.approx(gain, rel=1e-12)
         assert result.residuals[-1][1] == pytest.approx(-3.0, abs=1e-9)
         assert result.max_abs_residual_ev == pytest.approx(3.0, abs=1e-9)
@@ -303,18 +314,15 @@ class TestCalibrateSpectrum:
         result, fits = calibrate.calibrate_spectrum(
             spec, [cfg.lines[label] for label in cfg.calibration.anchors],
             [cfg.lines[label] for label in cfg.calibration.crosschecks],
-            expected_fwhm_ev=cfg.response.fwhm_at_reference_ev,
-            approx_gain_ev_per_channel=cfg.response.gain_ev_per_channel,
-            min_prominence=cfg.calibration.min_prominence,
-            window_halfwidth_sigmas=cfg.calibration.window_halfwidth_sigmas,
-            residual_threshold_ev=cfg.calibration.residual_threshold_ev)
+            **calibration_kwargs(cfg))
         assert fits["ti_ka"].fit_window == fits["ti_kb"].fit_window
         assert result.max_abs_residual_ev <= 1.0
 
     def test_needs_two_lines(self, cfg):
         spec = channel_spectrum(np.full(NBINS, 10))
         with pytest.raises(CalibrationError):
-            calibrate.calibrate_spectrum(spec, [cfg.lines["mn_ka"]])
+            calibrate.calibrate_spectrum(spec, [cfg.lines["mn_ka"]],
+                                         **calibration_kwargs(cfg))
 
 
 class TestResponseRoundTrip:
@@ -324,9 +332,11 @@ class TestResponseRoundTrip:
         shape = (cfg.response.channel_count, cfg.response.reference_energy_ev)
         path.write_text(calibrate.response_section_text(result, *shape))
         loaded = config.load_response_file(path)
-        assert loaded == calibrate.response_from_calibration(result, *shape)
         assert loaded.gain_ev_per_channel == result.gain_ev_per_channel
         assert loaded.offset_ev == result.offset_ev
+        assert loaded.fwhm_at_reference_ev == result.resolution_fwhm_at_8kev
+        assert loaded.channel_count == cfg.response.channel_count
+        assert loaded.reference_energy_ev == cfg.response.reference_energy_ev
 
     def test_report_mentions_all_lines(self, cfg):
         result, fits = run_closed_loop(cfg, 1.0, 0.0, seed=7)

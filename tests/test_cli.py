@@ -82,7 +82,8 @@ def artifact_texts(cfg):
     """Valid analysis.txt and efficiency.txt texts, keyed by file name."""
     record = limits.AnalysisRecord(
         subtraction=limits.subtract(limits.Measurement(2222.0, 47.0),
-                                    limits.Measurement(2181.0, 47.0)),
+                                    limits.Measurement(2181.0, 47.0), 1.0,
+                                    cfg.limit.error_mode),
         n_off_raw=limits.Measurement(1796.0, 42.0),
         on_run=cfg.run_on, off_live_time_s=cfg.run_off.live_time_s,
         roi=cfg.roi)
@@ -157,7 +158,7 @@ class TestChain:
         # the file-mediated chain must equal the single-process chain
         response = config.load_response_file(response_path)
         record, _, _ = cli.analyze_runs(small_cfg, on_path, off_path,
-                                        response, "paper-naive")
+                                        response, small_cfg.limit.error_mode)
         result = limits.compute_limit(
             record.subtraction, record.on_run, small_cfg.constants,
             small_cfg.limit.efficiency, n_sigma=small_cfg.limit.n_sigma,
@@ -240,6 +241,24 @@ class TestChain:
         err = capsys.readouterr().err.strip()
         assert err.startswith("error:")
         assert "\n" not in err
+
+    def test_analyze_error_mode_from_config(self, campaign_dir, tmp_path):
+        text = small_config_text().replace("error_mode = paper-naive",
+                                           "error_mode = propagated")
+        cfg_path = tmp_path / "propagated.cfg"
+        cfg_path.write_text(text)
+        runs = ["--on", str(campaign_dir / "on-100A-34d.run"),
+                "--off", str(campaign_dir / "off-0A-28d.run"),
+                "--config", str(cfg_path)]
+        modes = {}
+        for name, flag in (("config", []),
+                           ("flag", ["--error-mode", "paper-naive"])):
+            out = tmp_path / name
+            assert cli.main(["analyze"] + runs + flag
+                            + ["--output-dir", str(out)]) == 0
+            modes[name] = limits.parse_analysis_report(
+                (out / "analysis.txt").read_text()).subtraction.error_mode
+        assert modes == {"config": "propagated", "flag": "paper-naive"}
 
     def test_strong_injection_shows_up(self, tmp_path):
         # beta^2/2 three decades above the published bound must produce an
@@ -483,6 +502,21 @@ class TestExitCodes:
         assert err.startswith("error:")
         assert "\n" not in err
         assert "Traceback" not in err
+
+    def test_header_field_overflow(self, tmp_path, capsys):
+        # 5e6 A is 5e9 mA, past the u32 current_ma field of the header
+        text = small_config_text().replace(
+            "current_a = 100.0", "current_a = 5000000.0")
+        cfg_path = tmp_path / "huge.cfg"
+        cfg_path.write_text(text)
+        out = tmp_path / "out"
+        rc = cli.main(["simulate", "--seed", "1", "--config", str(cfg_path),
+                       "--output-dir", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: run header current_ma = 5000000000 does not fit its "
+            "u32 field\n")
+        assert not any(out.glob("*.run"))
 
     @pytest.mark.parametrize("command", ["calibrate", "analyze"])
     def test_version_2_run_file(self, command, small_cfg_path, campaign_dir,

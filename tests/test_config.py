@@ -1,9 +1,32 @@
 """Strict configuration loading: defaults, cross-checks, error paths."""
 
+import dataclasses
+import inspect
+
 import pytest
 
-from pepsearch import config, reference
+from pepsearch import (calibrate, cli, config, core, efficiency, limits,
+                       reference, simulate)
 from pepsearch.errors import ConfigError, DomainError
+
+# the dataclasses config._parse builds from default.cfg
+CONFIG_BUILT = (core.PhysicsConstants, core.ResponseModel, core.GeometryConfig,
+                core.EmissionLine, core.DetectorPlate, simulate.ContinuumModel,
+                simulate.SourceModel, simulate.InjectionConfig)
+
+# parameters whose value the pipeline takes from the config
+CONFIG_VALUED = (
+    (calibrate.calibrate_spectrum,
+     ("expected_fwhm_ev", "approx_gain_ev_per_channel", "min_prominence",
+      "window_halfwidth_sigmas", "residual_threshold_ev")),
+    (calibrate.fit_calibration, ("residual_threshold_ev",)),
+    (calibrate.find_peaks, ("smooth_sigma_channels",)),
+    (efficiency.run_efficiency, ("batch_size",)),
+    (limits.compute_limit, ("n_sigma", "bound_convention")),
+    (limits.project_sensitivity, ("n_sigma",)),
+    (limits.normalize_livetime, ("mode",)),
+    (limits.subtract, ("normalization_factor", "error_mode")),
+)
 
 
 def mutated(old, new):
@@ -44,6 +67,36 @@ class TestDefaults:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
             config.load_config(tmp_path / "absent.cfg")
+
+
+class TestOneSource:
+    """default.cfg is the one place a default-model value is declared: no
+    Python default may copy one, so a changed config cannot be shadowed."""
+
+    @pytest.mark.parametrize("cls", CONFIG_BUILT,
+                             ids=lambda cls: cls.__name__)
+    def test_config_built_dataclasses_have_no_defaults(self, cls):
+        defaulted = [f.name for f in dataclasses.fields(cls)
+                     if f.default is not dataclasses.MISSING
+                     or f.default_factory is not dataclasses.MISSING]
+        assert defaulted == []
+
+    @pytest.mark.parametrize("func, names", CONFIG_VALUED,
+                             ids=[f.__name__ for f, _ in CONFIG_VALUED])
+    def test_config_valued_parameters_are_required(self, func, names):
+        params = inspect.signature(func).parameters
+        defaulted = [name for name in names
+                     if params[name].default is not inspect.Parameter.empty]
+        assert defaulted == []
+
+    @pytest.mark.parametrize("argv, dests", [
+        (["analyze", "--on", "a.run", "--off", "b.run"], ("error_mode",)),
+        (["limit", "--analysis", "analysis.txt"],
+         ("nsigma", "bound_convention")),
+    ], ids=["analyze", "limit"])
+    def test_limit_flags_fall_back_to_config(self, argv, dests):
+        args = cli.build_parser().parse_args(argv)
+        assert [getattr(args, dest) for dest in dests] == [None] * len(dests)
 
 
 class TestStrictness:

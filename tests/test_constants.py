@@ -1,6 +1,7 @@
 """Core model: width conversions, the configured line table, response map,
 geometry."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -32,13 +33,12 @@ class TestWidthConversions:
             core.fwhm_to_sigma(0.0)
         with pytest.raises(DomainError):
             core.fwhm_to_sigma(-1.0)
-        with pytest.raises(DomainError):
-            core.sigma_to_fwhm(0.0)
 
     @given(st.floats(min_value=1e-6, max_value=1e6))
     def test_inverse_composition(self, fwhm):
-        assert core.sigma_to_fwhm(core.fwhm_to_sigma(fwhm)) == pytest.approx(
-            fwhm, rel=1e-12)
+        # the calibration turns fitted sigmas back into FWHM this way
+        assert core.FWHM_OVER_SIGMA * core.fwhm_to_sigma(fwhm) \
+            == pytest.approx(fwhm, rel=1e-12)
 
 
 class TestLineTable:
@@ -58,8 +58,9 @@ class TestLineTable:
         assert all(ln.energy_ev > 0 for ln in cfg.lines.values())
 
     def test_pep_line_is_roi_midpoint(self, cfg):
-        assert cfg.lines["pep_forbidden"].energy_ev == cfg.roi.center_ev
-        assert cfg.injection.line_energy_ev == cfg.roi.center_ev
+        midpoint = 0.5 * (cfg.roi.low_ev + cfg.roi.high_ev)
+        assert cfg.lines["pep_forbidden"].energy_ev == midpoint
+        assert cfg.injection.line_energy_ev == midpoint
 
     def test_relative_intensity_validated(self):
         with pytest.raises(DomainError):
@@ -69,15 +70,17 @@ class TestLineTable:
 
 
 class TestResponseModel:
-    def test_affine_monotone(self):
-        r = core.ResponseModel(gain_ev_per_channel=2.5, offset_ev=-300.0)
+    def test_affine_monotone(self, cfg):
+        r = dataclasses.replace(cfg.response, gain_ev_per_channel=2.5,
+                                offset_ev=-300.0)
         ch = np.arange(0, 16384, 97)
         e = r.energy_of(ch)
         assert np.all(np.diff(e) > 0)
         assert e[0] == -300.0
 
-    def test_round_trip_half_channel(self):
-        r = core.ResponseModel(gain_ev_per_channel=1.7, offset_ev=12.0)
+    def test_round_trip_half_channel(self, cfg):
+        r = dataclasses.replace(cfg.response, gain_ev_per_channel=1.7,
+                                offset_ev=12.0)
         for ch in (0, 1, 100, 8191, 16383):
             assert r.channel_of(r.energy_of(ch)) == ch
         # energy -> channel -> energy lands within half a gain step
@@ -86,53 +89,51 @@ class TestResponseModel:
             back = r.energy_of(r.channel_of(e))
             assert abs(back - e) <= r.gain_ev_per_channel / 2
 
-    def test_sigma_from_fwhm(self):
-        r = core.ResponseModel(fwhm_at_reference_ev=200.0)
+    def test_sigma_from_fwhm(self, cfg):
+        r = dataclasses.replace(cfg.response, fwhm_at_reference_ev=200.0)
         assert r.sigma_ev == pytest.approx(core.fwhm_to_sigma(200.0))
 
-    def test_validation(self):
-        with pytest.raises(DomainError):
-            core.ResponseModel(gain_ev_per_channel=0.0)
-        with pytest.raises(DomainError):
-            core.ResponseModel(fwhm_at_reference_ev=-5.0)
-        with pytest.raises(DomainError):
-            core.ResponseModel(channel_count=1)
-        with pytest.raises(DomainError):
-            core.ResponseModel(channel_count=70000)
+    def test_validation(self, cfg):
+        for bad in (dict(gain_ev_per_channel=0.0),
+                    dict(fwhm_at_reference_ev=-5.0),
+                    dict(channel_count=1), dict(channel_count=70000)):
+            with pytest.raises(DomainError):
+                dataclasses.replace(cfg.response, **bad)
 
 
 class TestPhysicsConstants:
-    def test_defaults(self):
-        c = core.PhysicsConstants()
+    def test_configured_values(self, cfg):
+        c = cfg.constants
         assert c.electron_charge_c == 1.602e-19
         assert c.strip_length_cm == 10.0
         assert c.electron_mean_free_path_cm == 3.9e-6
         assert c.capture_fraction == 0.1
 
-    def test_validation(self):
+    def test_validation(self, cfg):
         with pytest.raises(DomainError):
-            core.PhysicsConstants(strip_length_cm=0.0)
+            dataclasses.replace(cfg.constants, strip_length_cm=0.0)
         with pytest.raises(DomainError):
-            core.PhysicsConstants(capture_fraction=1.5)
+            dataclasses.replace(cfg.constants, capture_fraction=1.5)
 
 
 class TestGeometry:
     def test_default_geometry(self, cfg):
         g = cfg.geometry
-        assert g.detector_count == 6
+        assert len(g.detectors) == 6
         assert g.strip_length_cm == 10.0
         ids = sorted(p.det_id for p in g.detectors)
         assert ids == list(range(6))
 
-    def test_overlap_rejected(self):
+    def test_overlap_rejected(self, cfg):
         a = core.DetectorPlate(0, 0.0, 0.0, 1.0, 1.0, 1.0, -1)
         b = core.DetectorPlate(1, 0.5, 0.0, 1.0, 1.0, 1.0, -1)
         with pytest.raises(ConfigError):
-            core.GeometryConfig(detectors=(a, b))
+            dataclasses.replace(cfg.geometry, detectors=(a, b))
 
-    def test_degenerate_allowed(self):
-        g = core.GeometryConfig(strip_thickness_cm=0.0, detectors=())
-        assert g.detector_count == 0
+    def test_degenerate_allowed(self, cfg):
+        g = dataclasses.replace(cfg.geometry, strip_thickness_cm=0.0,
+                                detectors=())
+        assert len(g.detectors) == 0
 
     def test_plate_validation(self):
         with pytest.raises(ConfigError):

@@ -45,16 +45,17 @@ class TestSampleEmission:
         norms = np.linalg.norm(directions, axis=1)
         assert np.allclose(norms, 1.0, atol=1e-12)
 
-    def test_zero_thickness(self):
-        g = core.GeometryConfig(strip_thickness_cm=0.0)
+    def test_zero_thickness(self, cfg):
+        g = dataclasses.replace(cfg.geometry, strip_thickness_cm=0.0)
         rng = np.random.default_rng(2)
         points, _ = efficiency.sample_emission(g, rng, 1000)
         assert np.all(points[:, 2] == 0.0)
 
 
 class TestExitDistance:
-    def setup_method(self):
-        self.g = core.GeometryConfig()  # 10 x 2 x 0.005 box
+    @pytest.fixture(autouse=True)
+    def strip(self, cfg):
+        self.g = cfg.geometry  # 10 x 2 x 0.005 box
 
     def test_axis_rays(self):
         pts = np.zeros((3, 3))
@@ -74,42 +75,33 @@ class TestExitDistance:
         dirs = np.array([[0.0, 0.0, 1.0]])
         assert efficiency.exit_distance(pts, dirs, self.g)[0] == 0.0
 
-
-class TestTransmission:
-    def setup_method(self):
-        self.g = core.GeometryConfig()
-        self.c = core.PhysicsConstants()
-
-    def test_surface_emission_outward(self):
-        pts = np.array([[0.0, 0.0, 0.0025]])
-        dirs = np.array([[0.0, 0.0, 1.0]])
-        p = efficiency.transmission_probability(pts, dirs, self.g, self.c)
-        assert p[0] == 1.0
-
-    def test_one_attenuation_length(self):
+    def test_one_attenuation_length_deep(self, cfg):
         # default strip (50 um) is thinner than lambda_Cu (21 um fits, but
         # only just); use a 100 um slab so the test point is clearly inside
-        depth = self.c.cu_attenuation_length_cm
-        g = core.GeometryConfig(strip_thickness_cm=0.01)
+        depth = cfg.constants.cu_attenuation_length_cm
+        g = dataclasses.replace(self.g, strip_thickness_cm=0.01)
         pts = np.array([[0.0, 0.0, 0.005 - depth]])
         dirs = np.array([[0.0, 0.0, 1.0]])
-        p = efficiency.transmission_probability(pts, dirs, g, self.c)
-        assert p[0] == pytest.approx(math.exp(-1.0), rel=1e-12)
+        d = efficiency.exit_distance(pts, dirs, g)
+        assert d[0] == pytest.approx(depth, rel=1e-12)
 
-    def test_slab_escape_matches_quadrature(self):
-        oracle = slab_escape_quadrature(self.g.strip_thickness_cm,
-                                        self.c.cu_attenuation_length_cm)
-        rng = np.random.default_rng(31)
-        points, directions = efficiency.sample_emission(self.g, rng, 400_000)
-        mc = efficiency.transmission_probability(points, directions, self.g,
-                                                 self.c).mean()
-        assert mc == pytest.approx(oracle, rel=0.01)
+
+class TestTransmission:
+    def test_slab_escape_matches_quadrature(self, cfg):
+        # the first breakdown entry is the mean transmission out of the
+        # copper, whatever the detectors
+        oracle = slab_escape_quadrature(cfg.geometry.strip_thickness_cm,
+                                        cfg.constants.cu_attenuation_length_cm)
+        res = efficiency.run_efficiency(cfg.geometry, cfg.constants, 400_000,
+                                        seed=31,
+                                        batch_size=cfg.efficiency.batch_size)
+        assert res.breakdown[0] == pytest.approx(oracle, rel=0.01)
 
 
 class TestAccepts:
-    def test_half_space_plate(self):
+    def test_half_space_plate(self, cfg):
         plate = core.DetectorPlate(0, 0.0, 0.0, 1.0, 1e6, 1e6, -1)
-        g = core.GeometryConfig(detectors=(plate,))
+        g = dataclasses.replace(cfg.geometry, detectors=(plate,))
         rng = np.random.default_rng(4)
         _, directions = efficiency.sample_emission(g, rng, 100_000)
         exit_points = np.zeros((100_000, 3))
@@ -119,18 +111,18 @@ class TestAccepts:
         assert np.all(det[accepted] == 0)
         assert np.all(det[~accepted] == -1)
 
-    def test_zero_area_never_accepts(self):
+    def test_zero_area_never_accepts(self, cfg):
         plate = core.DetectorPlate(0, 0.0, 0.0, 1.0, 0.0, 0.0, -1)
-        g = core.GeometryConfig(detectors=(plate,))
+        g = dataclasses.replace(cfg.geometry, detectors=(plate,))
         pts = np.zeros((1, 3))
         dirs = np.array([[0.0, 0.0, 1.0]])  # aimed exactly at the center
         accepted, _ = efficiency.accepts(pts, dirs, g)
         assert not accepted[0]
 
-    def test_small_plate_solid_angle(self):
+    def test_small_plate_solid_angle(self, cfg):
         a_side, r = 0.2, 2.0
         plate = core.DetectorPlate(0, 0.0, 0.0, r, a_side, a_side, -1)
-        g = core.GeometryConfig(detectors=(plate,))
+        g = dataclasses.replace(cfg.geometry, detectors=(plate,))
         rng = np.random.default_rng(6)
         _, directions = efficiency.sample_emission(g, rng, 2_000_000)
         exit_points = np.zeros((2_000_000, 3))
@@ -138,18 +130,18 @@ class TestAccepts:
         expect = a_side * a_side / (4 * math.pi * r * r)
         assert accepted.mean() == pytest.approx(expect, rel=0.10)
 
-    def test_wrong_side_never_accepts(self):
+    def test_wrong_side_never_accepts(self, cfg):
         plate = core.DetectorPlate(0, 0.0, 0.0, 1.0, 10.0, 10.0, -1)
-        g = core.GeometryConfig(detectors=(plate,))
+        g = dataclasses.replace(cfg.geometry, detectors=(plate,))
         pts = np.zeros((1, 3))
         dirs = np.array([[0.0, 0.0, -1.0]])   # heading away from the plate
         accepted, _ = efficiency.accepts(pts, dirs, g)
         assert not accepted[0]
 
-    def test_nearest_plate_wins(self):
+    def test_nearest_plate_wins(self, cfg):
         near = core.DetectorPlate(0, 0.0, 0.0, 1.0, 10.0, 10.0, -1)
         far = core.DetectorPlate(1, 0.0, 0.0, 2.0, 10.0, 10.0, -1)
-        g = core.GeometryConfig(detectors=(near, far))
+        g = dataclasses.replace(cfg.geometry, detectors=(near, far))
         pts = np.zeros((1, 3))
         dirs = np.array([[0.0, 0.0, 1.0]])
         accepted, det = efficiency.accepts(pts, dirs, g)
@@ -157,15 +149,15 @@ class TestAccepts:
 
 
 class TestAbsorption:
-    def test_normal_incidence(self):
-        c = core.PhysicsConstants()  # 450 um silicon, 70 um attenuation
+    def test_normal_incidence(self, cfg):
+        c = cfg.constants  # 450 um silicon, 70 um attenuation
         dirs = np.array([[0.0, 0.0, 1.0]])
         p = efficiency.absorption_probability(dirs, c)
         assert p[0] == pytest.approx(-math.expm1(-0.045 / 0.007), rel=1e-12)
         assert p[0] == pytest.approx(0.998, abs=5e-4)
 
-    def test_oblique_path_longer(self):
-        c = core.PhysicsConstants()
+    def test_oblique_path_longer(self, cfg):
+        c = cfg.constants
         straight = efficiency.absorption_probability(
             np.array([[0.0, 0.0, 1.0]]), c)[0]
         oblique = efficiency.absorption_probability(
@@ -176,7 +168,8 @@ class TestAbsorption:
 class TestRunEfficiency:
     def test_default_geometry_band(self, cfg):
         res = efficiency.run_efficiency(cfg.geometry, cfg.constants,
-                                        200_000, seed=3)
+                                        200_000, seed=3,
+                                        batch_size=cfg.efficiency.batch_size)
         assert 0.005 <= res.efficiency <= 0.02
         assert res.mc_uncertainty / res.efficiency < 0.05
         bernoulli = math.sqrt(res.efficiency * (1 - res.efficiency)
@@ -185,7 +178,8 @@ class TestRunEfficiency:
 
     def test_breakdown_bounds(self, cfg):
         res = efficiency.run_efficiency(cfg.geometry, cfg.constants,
-                                        200_000, seed=3)
+                                        200_000, seed=3,
+                                        batch_size=cfg.efficiency.batch_size)
         trans, accept, absorb = res.breakdown
         product_bound = trans * accept * absorb
         assert product_bound <= res.efficiency <= min(trans, accept)
@@ -232,11 +226,13 @@ class TestRunEfficiency:
     def test_minimum_samples(self, cfg):
         with pytest.raises(DomainError):
             efficiency.run_efficiency(cfg.geometry, cfg.constants, 9_999,
-                                      seed=1)
+                                      seed=1,
+                                      batch_size=cfg.efficiency.batch_size)
 
     def test_no_detectors_zero(self, cfg):
         g = dataclasses.replace(cfg.geometry, detectors=())
-        res = efficiency.run_efficiency(g, cfg.constants, 20_000, seed=1)
+        res = efficiency.run_efficiency(g, cfg.constants, 20_000, seed=1,
+                                        batch_size=cfg.efficiency.batch_size)
         assert res.efficiency == 0.0
         assert res.breakdown[1] == 0.0
 
@@ -249,7 +245,8 @@ class TestRunEfficiency:
                 for p in cfg.geometry.detectors)
             g = dataclasses.replace(cfg.geometry, detectors=plates)
             effs.append(efficiency.run_efficiency(
-                g, cfg.constants, 100_000, seed=12).efficiency)
+                g, cfg.constants, 100_000, seed=12,
+                batch_size=cfg.efficiency.batch_size).efficiency)
         assert effs[0] < effs[1] < effs[2]
 
     def test_monotone_in_strip_thickness(self, cfg):
@@ -257,7 +254,8 @@ class TestRunEfficiency:
         for t in (0.0025, 0.005, 0.01):
             g = dataclasses.replace(cfg.geometry, strip_thickness_cm=t)
             effs.append(efficiency.run_efficiency(
-                g, cfg.constants, 100_000, seed=12).efficiency)
+                g, cfg.constants, 100_000, seed=12,
+                batch_size=cfg.efficiency.batch_size).efficiency)
         assert effs[0] > effs[1] > effs[2]
 
     def test_monotone_in_si_thickness(self, cfg):
@@ -265,16 +263,18 @@ class TestRunEfficiency:
         for t in (0.005, 0.045, 0.2):
             c = dataclasses.replace(cfg.constants, sdd_thickness_cm=t)
             effs.append(efficiency.run_efficiency(
-                cfg.geometry, c, 100_000, seed=12).efficiency)
+                cfg.geometry, c, 100_000, seed=12,
+                batch_size=cfg.efficiency.batch_size).efficiency)
         assert effs[0] < effs[1] < effs[2]
 
     def test_variance_halves_with_doubled_samples(self, cfg):
-        small = [efficiency.run_efficiency(cfg.geometry, cfg.constants,
-                                           25_000, seed=1000 + i).efficiency
-                 for i in range(30)]
-        big = [efficiency.run_efficiency(cfg.geometry, cfg.constants,
-                                         50_000, seed=2000 + i).efficiency
-               for i in range(30)]
+        def mean(samples, seed):
+            return efficiency.run_efficiency(
+                cfg.geometry, cfg.constants, samples, seed=seed,
+                batch_size=cfg.efficiency.batch_size).efficiency
+
+        small = [mean(25_000, 1000 + i) for i in range(30)]
+        big = [mean(50_000, 2000 + i) for i in range(30)]
         ratio = np.var(small, ddof=1) / np.var(big, ddof=1)
         bound = stats.f.ppf(0.995, 29, 29)
         assert ratio / 2.0 < bound
@@ -282,7 +282,8 @@ class TestRunEfficiency:
 
     def test_report_round_trip(self, cfg):
         res = efficiency.run_efficiency(cfg.geometry, cfg.constants, 50_000,
-                                        seed=5)
+                                        seed=5,
+                                        batch_size=cfg.efficiency.batch_size)
         text = efficiency.render_efficiency_report(res)
         back = efficiency.parse_efficiency_report(text)
         assert back.samples == res.samples

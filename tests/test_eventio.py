@@ -1,5 +1,6 @@
 """Binary run-file format and histogramming."""
 
+import dataclasses
 import io
 
 import numpy as np
@@ -89,6 +90,18 @@ class TestWriteValidation:
         header = eventio.RunHeader("x", 0, 1, False, event_count=5)
         with pytest.raises(FormatError):
             eventio.write_run(header, ev, io.BytesIO())
+
+    @pytest.mark.parametrize("field, bits", [
+        ("current_ma", 32), ("live_time_s", 64), ("event_count", 64)])
+    def test_header_field_range(self, field, bits):
+        fields = dict(run_id="x", current_ma=0, live_time_s=1,
+                      current_on=False, event_count=0)
+        fields[field] = 2**bits
+        with pytest.raises(FormatError, match=f"{field} = {2**bits} does "
+                           f"not fit its u{bits} field"):
+            eventio.RunHeader(**fields)
+        fields[field] = 2**bits - 1     # the largest value encodes
+        eventio._encode_header(eventio.RunHeader(**fields))
 
     def test_unsorted_rejected(self):
         ev = make_events(10)
@@ -283,7 +296,7 @@ class TestHistogram:
     @pytest.mark.parametrize("gain, offset", [
         (None, None), (1.0, 0.0), (0.9987, 3.21), (2.5, -100.0),
         (1.0003, -0.7)])
-    def test_channel_table_matches_event_reference(self, gain, offset):
+    def test_channel_table_matches_event_reference(self, cfg, gain, offset):
         rng = np.random.default_rng(17)
         ev = make_events(200_000, rng=rng)
         ev["adc"] = rng.integers(0, 65536, size=len(ev))
@@ -292,22 +305,23 @@ class TestHistogram:
         if gain is None:
             response, axis = None, (65536, -0.5, 65535.5)
         else:
-            response = core.ResponseModel(gain_ev_per_channel=gain,
-                                          offset_ev=offset,
-                                          channel_count=65536)
+            response = dataclasses.replace(cfg.response,
+                                           gain_ev_per_channel=gain,
+                                           offset_ev=offset,
+                                           channel_count=65536)
             axis = (10000, 2000.0, 12000.0)
         spec = eventio.histogram(ev, response, *axis)
         counts, under, over = event_histogram(ev, response, *axis)
         assert np.array_equal(spec.counts, counts)
         assert (spec.underflow, spec.overflow) == (under, over)
 
-    def test_multi_chunk_matches_event_reference(self):
+    def test_multi_chunk_matches_event_reference(self, cfg):
         rng = np.random.default_rng(23)
         ev = make_events(2 * eventio.CHUNK_RECORDS + 12_345, rng=rng)
         tagged = rng.random(len(ev)) < 0.1
         ev["trigger_flags"][tagged] |= eventio.VETO_COINCIDENCE
-        response = core.ResponseModel(gain_ev_per_channel=0.9987,
-                                      offset_ev=3.21, channel_count=65536)
+        response = dataclasses.replace(cfg.response, gain_ev_per_channel=0.9987,
+                                       offset_ev=3.21, channel_count=65536)
         for resp, axis in ((None, (16384, -0.5, 16383.5)),
                            (response, (10000, 2000.0, 12000.0))):
             spec = eventio.histogram(ev, resp, *axis)
@@ -320,8 +334,9 @@ class TestHistogram:
         assert spec.counts.sum() == 0
         assert spec.nbins == 100
 
-    def test_single_event_energy_mode(self):
-        r = core.ResponseModel(gain_ev_per_channel=2.0, offset_ev=100.0)
+    def test_single_event_energy_mode(self, cfg):
+        r = dataclasses.replace(cfg.response, gain_ev_per_channel=2.0,
+                                offset_ev=100.0)
         ev = make_events(1)
         ev["adc"] = 3000  # energy 6100 eV
         spec = eventio.histogram(ev, response=r, bins=10000, lo=2000.0,

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from pepsearch import limits, reference
-from pepsearch.core import PhysicsConstants, RunMeta
+from pepsearch.core import RunMeta
 from pepsearch.errors import DomainError
 from pepsearch.eventio import Spectrum
 from pepsearch.limits import Measurement, RoiDefinition
@@ -29,14 +29,19 @@ N_INT = 10.0 / 3.9e-6
 DENOMINATOR = N_NEW * 0.1 * N_INT * EFFICIENCY
 LIMIT = 3.0 * SIGMA_DELTA / DENOMINATOR
 
+# the published conventions, passed explicitly as the CLI passes the config's
+NAIVE = limits.ERROR_MODE_PAPER
+PAPER = dict(n_sigma=3.0, bound_convention=limits.BOUND_PAPER)
+
 
 def reference_subtraction():
     on = Measurement(N_ON, math.sqrt(N_ON))
     off = limits.normalize_livetime(Measurement(N_OFF_RAW,
                                                 math.sqrt(N_OFF_RAW)),
-                                    OFF_LIVE_S, ON_LIVE_S)
+                                    OFF_LIVE_S, ON_LIVE_S, mode=NAIVE)
     return limits.subtract(on, off,
-                           normalization_factor=ON_LIVE_S / OFF_LIVE_S)
+                           normalization_factor=ON_LIVE_S / OFF_LIVE_S,
+                           error_mode=NAIVE)
 
 
 def reference_run():
@@ -63,7 +68,7 @@ class TestRoiDefinition:
         assert roi.low_ev == 7629.0
         assert roi.high_ev == 7829.0
         assert roi.width_ev == 200.0
-        assert roi.center_ev == 7729.0
+        assert 0.5 * (roi.low_ev + roi.high_ev) == 7729.0
 
     def test_reversed_bounds(self):
         with pytest.raises(DomainError):
@@ -111,7 +116,7 @@ class TestNormalizeLivetime:
     def test_reference_normalization(self):
         got = limits.normalize_livetime(
             Measurement(N_OFF_RAW, math.sqrt(N_OFF_RAW)),
-            OFF_LIVE_S, ON_LIVE_S)
+            OFF_LIVE_S, ON_LIVE_S, mode=NAIVE)
         assert got.value == pytest.approx(OFF_NORM, rel=1e-12)
         assert got.uncertainty == pytest.approx(math.sqrt(OFF_NORM),
                                                 rel=1e-12)
@@ -128,7 +133,7 @@ class TestNormalizeLivetime:
 
     def test_identity_distinguishes_modes(self):
         m = Measurement(100.0, 5.0)
-        paper = limits.normalize_livetime(m, 3600.0, 3600.0)
+        paper = limits.normalize_livetime(m, 3600.0, 3600.0, mode=NAIVE)
         prop = limits.normalize_livetime(m, 3600.0, 3600.0,
                                          mode=limits.ERROR_MODE_PROPAGATED)
         assert paper.value == prop.value == 100.0
@@ -136,15 +141,16 @@ class TestNormalizeLivetime:
         assert prop.uncertainty == 5.0      # input sigma carried through
 
     def test_zero_count(self):
-        got = limits.normalize_livetime(Measurement(0.0, 0.0), 100.0, 200.0)
+        got = limits.normalize_livetime(Measurement(0.0, 0.0), 100.0, 200.0,
+                                        mode=NAIVE)
         assert got.value == 0.0 and got.uncertainty == 0.0
 
     def test_validation(self):
         m = Measurement(10.0, 3.0)
         with pytest.raises(DomainError):
-            limits.normalize_livetime(m, 0.0, 100.0)
+            limits.normalize_livetime(m, 0.0, 100.0, mode=NAIVE)
         with pytest.raises(DomainError):
-            limits.normalize_livetime(m, 100.0, -1.0)
+            limits.normalize_livetime(m, 100.0, -1.0, mode=NAIVE)
         with pytest.raises(DomainError):
             limits.normalize_livetime(m, 100.0, 100.0, mode="bogus")
 
@@ -158,147 +164,150 @@ class TestSubtract:
 
     def test_self_subtraction(self):
         m = Measurement(100.0, 10.0)
-        sub = limits.subtract(m, m)
+        sub = limits.subtract(m, m, 1.0, NAIVE)
         assert sub.delta.value == 0.0
         assert sub.delta.uncertainty == pytest.approx(10.0 * math.sqrt(2.0))
 
     def test_quadrature(self):
         sub = limits.subtract(Measurement(100.0, 10.0),
-                              Measurement(50.0, 5.0))
+                              Measurement(50.0, 5.0), 1.0, NAIVE)
         assert sub.delta.value == 50.0
         assert sub.delta.uncertainty == pytest.approx(math.sqrt(125.0))
 
     def test_bad_mode(self):
         m = Measurement(1.0, 1.0)
         with pytest.raises(DomainError):
-            limits.subtract(m, m, error_mode="bogus")
+            limits.subtract(m, m, 1.0, "bogus")
 
 
 class TestExposureFactors:
-    def test_n_new_reference(self):
-        got = limits.compute_n_new(reference_run(), PhysicsConstants())
+    def test_n_new_reference(self, consts):
+        got = limits.compute_n_new(reference_run(), consts)
         assert got == pytest.approx(N_NEW, rel=1e-12)
         assert got == pytest.approx(1.8337e27, rel=1e-4)
 
-    def test_n_new_scales_with_current(self):
+    def test_n_new_scales_with_current(self, consts):
         run = RunMeta("x", 40.0, 1.0, True)
-        got = limits.compute_n_new(run, PhysicsConstants())
+        got = limits.compute_n_new(run, consts)
         assert got == pytest.approx(40.0 / 1.602e-19, rel=1e-12)
         assert got == pytest.approx(2.4969e20, rel=1e-4)
 
-    def test_n_new_zero_exposure(self):
+    def test_n_new_zero_exposure(self, consts):
         run = RunMeta("idle", 0.0, 86400.0, True)
-        assert limits.compute_n_new(run, PhysicsConstants()) == 0.0
+        assert limits.compute_n_new(run, consts) == 0.0
 
-    def test_n_int(self):
-        got = limits.compute_n_int(PhysicsConstants())
+    def test_n_int(self, consts):
+        got = limits.compute_n_int(consts)
         assert got == pytest.approx(N_INT, rel=1e-12)
         assert got == pytest.approx(2.5641e6, rel=1e-4)
 
 
 class TestComputeLimit:
-    def test_reference_bound(self):
+    def test_reference_bound(self, consts):
         result = limits.compute_limit(reference_subtraction(),
-                                      reference_run(), PhysicsConstants(),
-                                      EFFICIENCY)
+                                      reference_run(), consts,
+                                      EFFICIENCY, **PAPER)
         assert result.denominator == pytest.approx(DENOMINATOR, rel=1e-12)
         assert result.denominator == pytest.approx(4.7e30, rel=0.01)
         assert result.beta2_over_2_limit == pytest.approx(LIMIT, rel=1e-12)
         assert result.beta2_over_2_limit == pytest.approx(4.2e-29, rel=0.02)
         assert result.confidence_label == "99.7% C.L."
 
-    def test_doubling_efficiency_halves(self):
+    def test_doubling_efficiency_halves(self, consts):
         sub = reference_subtraction()
-        base = limits.compute_limit(sub, reference_run(), PhysicsConstants(),
-                                    0.01)
+        base = limits.compute_limit(sub, reference_run(), consts,
+                                    0.01, **PAPER)
         doubled = limits.compute_limit(sub, reference_run(),
-                                       PhysicsConstants(), 0.02)
+                                       consts, 0.02, **PAPER)
         assert doubled.beta2_over_2_limit == base.beta2_over_2_limit / 2.0
 
-    def test_current_linearity(self):
+    def test_current_linearity(self, consts):
         # dropping the beam from 100 A to 40 A weakens the bound 2.5x
         sub = reference_subtraction()
-        base = limits.compute_limit(sub, reference_run(), PhysicsConstants(),
-                                    EFFICIENCY)
+        base = limits.compute_limit(sub, reference_run(), consts,
+                                    EFFICIENCY, **PAPER)
         weak_run = RunMeta("on", 40.0, ON_LIVE_S, True)
-        weak = limits.compute_limit(sub, weak_run, PhysicsConstants(),
-                                    EFFICIENCY)
+        weak = limits.compute_limit(sub, weak_run, consts,
+                                    EFFICIENCY, **PAPER)
         assert weak.beta2_over_2_limit == pytest.approx(
             2.5 * base.beta2_over_2_limit, rel=1e-12)
 
-    def test_central_convention(self):
+    def test_central_convention(self, consts):
         result = limits.compute_limit(
-            reference_subtraction(), reference_run(), PhysicsConstants(),
-            EFFICIENCY, bound_convention=limits.BOUND_CENTRAL)
+            reference_subtraction(), reference_run(), consts,
+            EFFICIENCY, n_sigma=3.0, bound_convention=limits.BOUND_CENTRAL)
         expected = (DELTA + 3.0 * SIGMA_DELTA) / DENOMINATOR
         assert result.beta2_over_2_limit == pytest.approx(expected, rel=1e-12)
         assert result.beta2_over_2_limit > LIMIT    # positive central value
 
-    def test_central_convention_clamps(self):
+    def test_central_convention_clamps(self, consts):
         sub = limits.subtract(Measurement(100.0, 10.0),
-                              Measurement(600.0, 10.0))
+                              Measurement(600.0, 10.0), 1.0, NAIVE)
         result = limits.compute_limit(
-            sub, reference_run(), PhysicsConstants(), EFFICIENCY,
-            bound_convention=limits.BOUND_CENTRAL)
+            sub, reference_run(), consts, EFFICIENCY,
+            n_sigma=3.0, bound_convention=limits.BOUND_CENTRAL)
         assert result.beta2_over_2_limit == 0.0
 
-    def test_paper_convention_ignores_central_value(self):
-        a = limits.subtract(Measurement(500.0, 66.0), Measurement(100.0, 0.0))
-        b = limits.subtract(Measurement(100.0, 66.0), Measurement(500.0, 0.0))
-        la = limits.compute_limit(a, reference_run(), PhysicsConstants(),
-                                  EFFICIENCY)
-        lb = limits.compute_limit(b, reference_run(), PhysicsConstants(),
-                                  EFFICIENCY)
+    def test_paper_convention_ignores_central_value(self, consts):
+        a = limits.subtract(Measurement(500.0, 66.0), Measurement(100.0, 0.0),
+                            1.0, NAIVE)
+        b = limits.subtract(Measurement(100.0, 66.0), Measurement(500.0, 0.0),
+                            1.0, NAIVE)
+        la = limits.compute_limit(a, reference_run(), consts,
+                                  EFFICIENCY, **PAPER)
+        lb = limits.compute_limit(b, reference_run(), consts,
+                                  EFFICIENCY, **PAPER)
         assert la.beta2_over_2_limit == lb.beta2_over_2_limit
 
-    def test_quadrupled_statistics_halves_bound(self):
+    def test_quadrupled_statistics_halves_bound(self, consts):
         k = 4.0
         on = Measurement(k * N_ON, math.sqrt(k * N_ON))
         off = limits.normalize_livetime(
             Measurement(k * N_OFF_RAW, math.sqrt(k * N_OFF_RAW)),
-            k * OFF_LIVE_S, k * ON_LIVE_S)
-        sub = limits.subtract(on, off)
+            k * OFF_LIVE_S, k * ON_LIVE_S, mode=NAIVE)
+        sub = limits.subtract(on, off, 1.0, NAIVE)
         run = RunMeta("on4", CURRENT_A, k * ON_LIVE_S, True)
-        scaled = limits.compute_limit(sub, run, PhysicsConstants(),
-                                      EFFICIENCY)
+        scaled = limits.compute_limit(sub, run, consts,
+                                      EFFICIENCY, **PAPER)
         assert scaled.beta2_over_2_limit == pytest.approx(LIMIT / 2.0,
                                                           rel=1e-12)
 
-    def test_monotone_in_inputs(self):
+    def test_monotone_in_inputs(self, consts):
         sub = reference_subtraction()
-        base = limits.compute_limit(sub, reference_run(), PhysicsConstants(),
-                                    0.01).beta2_over_2_limit
+        base = limits.compute_limit(sub, reference_run(), consts,
+                                    0.01, **PAPER).beta2_over_2_limit
         more_eff = limits.compute_limit(sub, reference_run(),
-                                        PhysicsConstants(),
-                                        0.02).beta2_over_2_limit
+                                        consts,
+                                        0.02, **PAPER).beta2_over_2_limit
         more_current = limits.compute_limit(
-            sub, RunMeta("hi", 200.0, ON_LIVE_S, True), PhysicsConstants(),
-            0.01).beta2_over_2_limit
-        looser = limits.compute_limit(sub, reference_run(),
-                                      PhysicsConstants(), 0.01,
-                                      n_sigma=5.0).beta2_over_2_limit
+            sub, RunMeta("hi", 200.0, ON_LIVE_S, True), consts,
+            0.01, **PAPER).beta2_over_2_limit
+        looser = limits.compute_limit(
+            sub, reference_run(), consts, 0.01, n_sigma=5.0,
+            bound_convention=limits.BOUND_PAPER).beta2_over_2_limit
         assert more_eff < base
         assert more_current < base
         assert looser > base
 
-    def test_validation(self):
+    def test_validation(self, consts):
         sub = reference_subtraction()
         with pytest.raises(DomainError):
-            limits.compute_limit(sub, reference_run(), PhysicsConstants(),
-                                 0.0)
+            limits.compute_limit(sub, reference_run(), consts,
+                                 0.0, **PAPER)
         with pytest.raises(DomainError):
-            limits.compute_limit(sub, reference_run(), PhysicsConstants(),
-                                 1.5)
+            limits.compute_limit(sub, reference_run(), consts,
+                                 1.5, **PAPER)
         for n_sigma in (0.0, math.nan, math.inf):
             with pytest.raises(DomainError, match="n_sigma"):
-                limits.compute_limit(sub, reference_run(), PhysicsConstants(),
-                                     0.01, n_sigma=n_sigma)
+                limits.compute_limit(sub, reference_run(), consts, 0.01,
+                                     n_sigma=n_sigma,
+                                     bound_convention=limits.BOUND_PAPER)
         with pytest.raises(DomainError):
-            limits.compute_limit(sub, reference_run(), PhysicsConstants(),
-                                 0.01, bound_convention="bogus")
+            limits.compute_limit(sub, reference_run(), consts, 0.01,
+                                 n_sigma=3.0, bound_convention="bogus")
         idle = RunMeta("idle", 0.0, ON_LIVE_S, True)
         with pytest.raises(DomainError):
-            limits.compute_limit(sub, idle, PhysicsConstants(), 0.01)
+            limits.compute_limit(sub, idle, consts, 0.01, **PAPER)
 
 
 class TestConfidenceLabel:
@@ -309,64 +318,64 @@ class TestConfidenceLabel:
 
 
 class TestProjection:
-    def test_fixed_point(self):
+    def test_fixed_point(self, consts):
         proj = limits.project_sensitivity(LIMIT, SIGMA_DELTA, ON_LIVE_S,
-                                          PhysicsConstants(), EFFICIENCY,
-                                          CURRENT_A)
+                                          consts, EFFICIENCY,
+                                          CURRENT_A, n_sigma=3.0)
         assert proj.improvement_factor == pytest.approx(1.0, rel=1e-12)
         assert proj.required_live_time_scaling_sigma_s == pytest.approx(
             ON_LIVE_S, rel=1e-12)
         assert proj.required_live_time_fixed_sigma_s == pytest.approx(
             ON_LIVE_S, rel=1e-12)
 
-    def test_ten_times_tighter(self):
+    def test_ten_times_tighter(self, consts):
         proj = limits.project_sensitivity(LIMIT / 10.0, SIGMA_DELTA,
-                                          ON_LIVE_S, PhysicsConstants(),
-                                          EFFICIENCY, CURRENT_A)
+                                          ON_LIVE_S, consts,
+                                          EFFICIENCY, CURRENT_A, n_sigma=3.0)
         assert proj.improvement_factor == pytest.approx(10.0, rel=1e-12)
         assert proj.required_live_time_scaling_sigma_s == pytest.approx(
             100.0 * ON_LIVE_S, rel=1e-12)
         assert proj.required_live_time_fixed_sigma_s == pytest.approx(
             10.0 * ON_LIVE_S, rel=1e-12)
 
-    def test_published_goal(self):
+    def test_published_goal(self, consts):
         proj = limits.project_sensitivity(1e-31, SIGMA_DELTA, ON_LIVE_S,
-                                          PhysicsConstants(), EFFICIENCY,
-                                          CURRENT_A)
+                                          consts, EFFICIENCY,
+                                          CURRENT_A, n_sigma=3.0)
         assert proj.reference_limit == pytest.approx(LIMIT, rel=1e-12)
         assert proj.improvement_factor == pytest.approx(LIMIT / 1e-31,
                                                         rel=1e-12)
         assert proj.improvement_factor == pytest.approx(423.4, abs=0.5)
 
-    def test_validation(self):
+    def test_validation(self, consts):
         for target in (0.0, math.nan, math.inf):
             with pytest.raises(DomainError, match="target"):
                 limits.project_sensitivity(target, SIGMA_DELTA, ON_LIVE_S,
-                                           PhysicsConstants(), EFFICIENCY,
-                                           CURRENT_A)
+                                           consts, EFFICIENCY,
+                                           CURRENT_A, n_sigma=3.0)
         with pytest.raises(DomainError):
             limits.project_sensitivity(1e-31, 0.0, ON_LIVE_S,
-                                       PhysicsConstants(), EFFICIENCY,
-                                       CURRENT_A)
+                                       consts, EFFICIENCY,
+                                       CURRENT_A, n_sigma=3.0)
         with pytest.raises(DomainError):
             limits.project_sensitivity(1e-31, SIGMA_DELTA, 0.0,
-                                       PhysicsConstants(), EFFICIENCY,
-                                       CURRENT_A)
+                                       consts, EFFICIENCY,
+                                       CURRENT_A, n_sigma=3.0)
 
-    def test_report_text(self):
+    def test_report_text(self, consts):
         proj = limits.project_sensitivity(1e-31, SIGMA_DELTA, ON_LIVE_S,
-                                          PhysicsConstants(), EFFICIENCY,
-                                          CURRENT_A)
+                                          consts, EFFICIENCY,
+                                          CURRENT_A, n_sigma=3.0)
         text = limits.render_projection_report(proj)
         assert "improvement factor   = 423.4" in text
         assert "34.00 d" in text
 
 
 class TestReports:
-    def test_limit_report_contents(self):
+    def test_limit_report_contents(self, consts):
         result = limits.compute_limit(reference_subtraction(),
-                                      reference_run(), PhysicsConstants(),
-                                      EFFICIENCY)
+                                      reference_run(), consts,
+                                      EFFICIENCY, **PAPER)
         text = limits.render_limit_report(
             result, n_off_raw=Measurement(N_OFF_RAW, math.sqrt(N_OFF_RAW)),
             off_live_time_s=OFF_LIVE_S, on_live_time_s=ON_LIVE_S)

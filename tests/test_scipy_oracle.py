@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from scipy import optimize, signal
 
+from conftest import calibration_kwargs
 from pepsearch import calibrate, eventio, simulate
 
 SEEDS = range(1, 25)
@@ -36,11 +37,7 @@ def calibrate_on(cfg, spec):
     return calibrate.calibrate_spectrum(
         spec, [cfg.lines[label] for label in cfg.calibration.anchors],
         [cfg.lines[label] for label in cfg.calibration.crosschecks],
-        expected_fwhm_ev=cfg.response.fwhm_at_reference_ev,
-        approx_gain_ev_per_channel=cfg.response.gain_ev_per_channel,
-        min_prominence=cfg.calibration.min_prominence,
-        window_halfwidth_sigmas=cfg.calibration.window_halfwidth_sigmas,
-        residual_threshold_ev=cfg.calibration.residual_threshold_ev)
+        **calibration_kwargs(cfg))
 
 
 def recorded(monkeypatch, name):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from pepsearch import config, core, eventio, limits, simulate
-from pepsearch.errors import DomainError
+from pepsearch.errors import DomainError, FormatError
 
 LAMBDA_REF = 4.2e-29 * (100.0 * 34 * 86400 / 1.602e-19) \
     * (10.0 / 3.9e-6) * 0.1 * 0.01  # direct arithmetic of the forward model
@@ -84,7 +84,7 @@ def tally_by_name(tallies, name):
 class TestExpectedViolationCounts:
     @pytest.fixture(autouse=True)
     def setup(self, cfg):
-        self.consts = core.PhysicsConstants()
+        self.consts = cfg.constants
         self.run = core.RunMeta("on", 100.0, 34 * 86400.0, True)
         self.inj = dataclasses.replace(cfg.injection, beta2_over_2=4.2e-29,
                                        enabled=True)
@@ -158,21 +158,17 @@ class TestRoiContainment:
 
 
 class TestSimulateRun:
-    def test_empty_stream(self, cfg, no_injection):
-        silent = simulate.SourceModel(
-            continuum=simulate.ContinuumModel(rate_hz=0.0))
+    def test_empty_stream(self, cfg, silent_source, no_injection):
         header, events, tallies = simulate.simulate_run(
-            silent, no_injection, cfg.response, 0.01, cfg.run_on,
+            silent_source, no_injection, cfg.response, 0.01, cfg.run_on,
             cfg.constants, cfg.roi, 1)
         assert header.event_count == 0
         assert len(events) == 0
 
-    def test_single_line_moments(self, cfg, no_injection):
+    def test_single_line_moments(self, cfg, silent_source, no_injection):
         cu = cfg.lines["cu_ka"]
         run1d = dataclasses.replace(cfg.run_on, live_time_s=86400)
-        src = simulate.SourceModel(lines=((cu, 1e6 / 86400.0),),
-                                   continuum=simulate.ContinuumModel(
-                                       rate_hz=0.0))
+        src = dataclasses.replace(silent_source, lines=((cu, 1e6 / 86400.0),))
         header, events, _ = simulate.simulate_run(
             src, no_injection, cfg.response, 0.01, run1d, cfg.constants,
             cfg.roi, 5)
@@ -212,10 +208,9 @@ class TestSimulateRun:
                 assert abs(t.sampled - t.expected) < 4 * math.sqrt(t.expected), \
                     f"component {t.name}: {t.sampled} vs {t.expected}"
 
-    def test_muon_veto_tagging(self, cfg, no_injection):
-        src = simulate.SourceModel(
-            continuum=simulate.ContinuumModel(rate_hz=0.0),
-            muon_rate_hz=0.05, veto_tag_probability=0.9)
+    def test_muon_veto_tagging(self, cfg, silent_source, no_injection):
+        src = dataclasses.replace(silent_source, muon_rate_hz=0.05,
+                                  veto_tag_probability=0.9)
         run = dataclasses.replace(cfg.run_on, live_time_s=10 * 86400)
         _, events, _ = simulate.simulate_run(
             src, no_injection, cfg.response, 0.01, run, cfg.constants,
@@ -227,18 +222,27 @@ class TestSimulateRun:
         frac = tagged.sum() / n
         assert frac == pytest.approx(0.9, abs=4 * math.sqrt(0.09 / n))
 
-    def test_overflow_clamping(self, cfg, no_injection):
+    def test_overflow_clamping(self, cfg, silent_source, no_injection):
         resp = dataclasses.replace(cfg.response, channel_count=4096)
         cu = cfg.lines["cu_ka"]  # 8040 eV, far above channel 4095
         run = dataclasses.replace(cfg.run_on, live_time_s=86400)
-        src = simulate.SourceModel(lines=((cu, 0.1),),
-                                   continuum=simulate.ContinuumModel(
-                                       rate_hz=0.0))
+        src = dataclasses.replace(silent_source, lines=((cu, 0.1),))
         header, events, tallies = simulate.simulate_run(
             src, no_injection, resp, 0.01, run, cfg.constants, cfg.roi, 2)
         clamped = tally_by_name(tallies, "clamped_high")
         assert clamped.sampled == header.event_count
         assert events["adc"].max() == 4095
+
+    def test_header_checked_before_generation(self, cfg, quiet_source,
+                                              no_injection, monkeypatch):
+        def generate(*args):
+            raise AssertionError("a record was generated")
+
+        monkeypatch.setattr(simulate, "_photon_records", generate)
+        huge = dataclasses.replace(cfg.run_on, current_a=5e6)  # 5e9 mA
+        with pytest.raises(FormatError, match="current_ma"):
+            simulate.simulate_run(quiet_source, no_injection, cfg.response,
+                                  0.01, huge, cfg.constants, cfg.roi, 1)
 
     def test_violation_only_when_enabled(self, cfg, quiet_source):
         run = dataclasses.replace(cfg.run_on, live_time_s=86400)
@@ -259,7 +263,7 @@ class TestSimulateRun:
         assert tally_by_name(tallies_off, "violation").expected == 0.0
         assert tally_by_name(tallies_off, "violation").sampled == 0
 
-    def test_configured_violation_energy(self, cfg):
+    def test_configured_violation_energy(self, cfg, silent_source):
         assert cfg.injection.line_energy_ev \
             == cfg.lines["pep_forbidden"].energy_ev
         text = config.default_config_text().replace(
@@ -270,7 +274,7 @@ class TestSimulateRun:
         # a source that emits nothing: every event is an injected photon
         inj = dataclasses.replace(moved.injection, beta2_over_2=1e-27)
         _, events, _ = simulate.simulate_run(
-            simulate.SourceModel(), inj, moved.response, 0.01, moved.run_on,
+            silent_source, inj, moved.response, 0.01, moved.run_on,
             moved.constants, moved.roi, 6)
         n = len(events)
         assert n > 1000
@@ -292,13 +296,13 @@ class TestSimulateRun:
         assert abs(excess - 198) < 3 * math.sqrt(198)
 
     @staticmethod
-    def check_tie_order(cfg, no_injection, n_slices):
+    def check_tie_order(cfg, silent_source, no_injection, n_slices):
         # 10000 events in 1e5 ns slots: hundreds of equal timestamps, many
         # of them involving a veto-tagged muon
         live = 1e-4
-        src = simulate.SourceModel(
+        src = dataclasses.replace(
+            silent_source,
             lines=((cfg.lines["cu_ka"], 5e7), (cfg.lines["ti_ka"], 2e7)),
-            continuum=simulate.ContinuumModel(rate_hz=0.0),
             muon_rate_hz=3e7, veto_tag_probability=0.5)
         run = dataclasses.replace(cfg.run_on, live_time_s=live)
         _, events, _ = simulate.simulate_run(
@@ -314,12 +318,13 @@ class TestSimulateRun:
         for name in eventio.EVENT_DTYPE.names:
             assert np.array_equal(events[name], expected[name]), name
 
-    def test_tie_order(self, cfg, no_injection):
-        self.check_tie_order(cfg, no_injection, 1)
+    def test_tie_order(self, cfg, silent_source, no_injection):
+        self.check_tie_order(cfg, silent_source, no_injection, 1)
 
-    def test_tie_order_three_slices(self, cfg, no_injection, monkeypatch):
+    def test_tie_order_three_slices(self, cfg, silent_source, no_injection,
+                                    monkeypatch):
         monkeypatch.setattr(simulate, "SLICE_S", 4e-5)  # 1e-4 s in 3 slices
-        self.check_tie_order(cfg, no_injection, 3)
+        self.check_tie_order(cfg, silent_source, no_injection, 3)
 
     def test_generation_report(self, cfg, quiet_source, no_injection):
         run = dataclasses.replace(cfg.run_on, live_time_s=86400)
@@ -459,25 +464,24 @@ class TestMemoryBound:
 
 
 class TestSourceValidation:
-    def test_negative_rate(self, cfg):
+    def test_negative_rate(self, cfg, silent_source):
         with pytest.raises(DomainError):
-            simulate.SourceModel(lines=((cfg.lines["cu_ka"], -1.0),))
+            dataclasses.replace(silent_source,
+                                lines=((cfg.lines["cu_ka"], -1.0),))
 
-    def test_veto_probability_range(self):
+    def test_veto_probability_range(self, silent_source):
         with pytest.raises(DomainError):
-            simulate.SourceModel(veto_tag_probability=1.5)
+            dataclasses.replace(silent_source, veto_tag_probability=1.5)
 
-    def test_calibration_needs_lines(self):
+    def test_calibration_needs_lines(self, silent_source):
         with pytest.raises(DomainError):
-            simulate.SourceModel(calibration_rate_hz=2.0)
+            dataclasses.replace(silent_source, calibration_rate_hz=2.0)
 
-    def test_continuum_validation(self):
-        with pytest.raises(DomainError):
-            simulate.ContinuumModel(shape="triangular")
-        with pytest.raises(DomainError):
-            simulate.ContinuumModel(rate_hz=-0.5)
-        with pytest.raises(DomainError):
-            simulate.ContinuumModel(low_ev=5000.0, high_ev=3000.0)
+    def test_continuum_validation(self, cfg):
+        for bad in (dict(shape="triangular"), dict(rate_hz=-0.5),
+                    dict(low_ev=5000.0, high_ev=3000.0)):
+            with pytest.raises(DomainError):
+                dataclasses.replace(cfg.source.continuum, **bad)
 
     def test_exponential_continuum_sampling(self):
         cm = simulate.ContinuumModel(shape=simulate.CONTINUUM_EXPONENTIAL,
