@@ -1,11 +1,15 @@
 """Energy-scale calibration from fluorescence peaks in raw-channel spectra.
 
 The pipeline is: locate candidate peaks (moving-average smoothing, then
-prominence ranking), fit each with a Gaussian plus a constant, and fit an
-affine channel-to-energy map through the anchor lines.  Cross-check lines
-participate in the residual report but not in the map.  The resolution is
-extrapolated to 8 keV under the constant-FWHM model, so it is simply the
-weighted mean of the per-peak FWHM values in eV.
+prominence ranking), fit them with Gaussians plus a constant, and fit an
+affine channel-to-energy map through the anchor lines.  Every window is
+fitted the same way, from the candidate channels it holds: one Gaussian
+each, started there.  Lines closer than two window half-widths share a
+window, so that neither fit takes in the other's tail; a lone line is a
+window of one.  Cross-check lines participate in the residual report but
+not in the map.  The resolution is extrapolated to 8 keV under the
+constant-FWHM model, so it is simply the weighted mean of the per-peak
+FWHM values in eV.
 
 Both steps are numpy alone.  The peak search follows the definitions of
 ``scipy.signal.find_peaks``.  The peak fits are a weighted
@@ -193,14 +197,18 @@ class PeakFit:
                 f"window [{lo:.1f}, {hi:.1f}]")
 
 
-def _fit_window(raw: Spectrum, lo: float, hi: float, start) -> list[PeakFit]:
-    """Least-squares Gaussians + one constant over the bins in [lo, hi].
+def fit_window(raw: Spectrum, channels, half: float,
+               sigma0: float) -> list[PeakFit]:
+    """Least-squares Gaussians + one constant over the bins in
+    [channels[0] - half, channels[-1] + half], one Gaussian per channel.
 
-    ``start(x, y, background0)`` returns the initial parameters, three
-    per peak (amplitude, centroid, sigma) then the background.  The
+    Each peak starts at its expected channel with sigma `sigma0` and the
+    amplitude of the highest bin within `sigma0` of it above the
+    background, taken as the median of the three bins at each edge.  The
     peaks share the window's reduced chi-square and come back ordered by
     centroid.
     """
+    lo, hi = channels[0] - half, channels[-1] + half
     centers = raw.bin_centers
     sel = (centers >= lo) & (centers <= hi)
     x = centers[sel]
@@ -213,9 +221,14 @@ def _fit_window(raw: Spectrum, lo: float, hi: float, start) -> list[PeakFit]:
                                "counts, need at least 100")
     yerr = np.sqrt(np.maximum(y, 1.0))
     background0 = float(np.median(np.concatenate((y[:3], y[-3:]))))
-    p0 = start(x, y, background0)
-    peaks = (len(p0) - 1) // 3
-    max_iter = MAX_FIT_EVALS * peaks
+    p0 = []
+    for c in channels:
+        near = np.abs(x - c) < sigma0
+        amplitude0 = max(float(y[near].max() - background0), 1.0) \
+            if near.any() else 1.0
+        p0 += [amplitude0, float(c), sigma0]
+    p0.append(background0)
+    max_iter = MAX_FIT_EVALS * len(channels)
     try:
         solution = _levenberg_marquardt(x, y, yerr, p0, max_iter)
     except np.linalg.LinAlgError:
@@ -234,7 +247,7 @@ def _fit_window(raw: Spectrum, lo: float, hi: float, start) -> list[PeakFit]:
                        "describe the window")
     perr = np.sqrt(np.clip(np.diag(pcov), 0.0, None))
     fits = []
-    for i in range(peaks):
+    for i in range(len(channels)):
         amplitude, centroid, sigma = popt[3 * i:3 * i + 3]
         sigma = abs(sigma)  # model is even in sigma; lm may pick the mirror
         fits.append(PeakFit(centroid_channel=float(centroid),
@@ -248,26 +261,6 @@ def _fit_window(raw: Spectrum, lo: float, hi: float, start) -> list[PeakFit]:
     # joint fits may legally swap order; map back by channel
     fits.sort(key=lambda p: p.centroid_channel)
     return fits
-
-
-def fit_gaussian(raw: Spectrum, window: tuple[float, float]) -> PeakFit:
-    """Least-squares Gaussian + constant over the bins inside `window`,
-    started from the moments of the background-subtracted counts."""
-    lo, hi = window
-
-    def moments(x, y, background0):
-        amplitude0 = max(float(y.max() - background0), 1.0)
-        weights = np.clip(y - background0, 0.0, None)
-        if weights.sum() > 0:
-            centroid0 = float(np.average(x, weights=weights))
-            var0 = float(np.average((x - centroid0) ** 2, weights=weights))
-            sigma0 = math.sqrt(var0) if var0 > 0 else (hi - lo) / 6.0
-        else:
-            centroid0 = 0.5 * (lo + hi)
-            sigma0 = (hi - lo) / 6.0
-        return [amplitude0, centroid0, sigma0, background0]
-
-    return _fit_window(raw, lo, hi, moments)[0]
 
 
 @dataclass(frozen=True)
@@ -296,10 +289,11 @@ def fit_calibration(anchors, crosschecks=(), *,
     """Weighted affine fit energy = offset + gain * channel.
 
     `anchors` and `crosschecks` are sequences of (PeakFit, energy_ev);
-    only anchors constrain the map.  Channel uncertainties are mapped to
-    energy through the gain, so the weights are refined once after a
-    first pass.  Residuals beyond `residual_threshold_ev` fail the
-    calibration.
+    only anchors constrain the map.  The weights are 1/cerr^2 of the
+    channel uncertainties; mapping those to energy would scale every
+    weight by the same 1/gain^2, which moves neither the gain nor the
+    offset, so only the parameter errors are scaled by the gain.
+    Residuals beyond `residual_threshold_ev` fail the calibration.
     """
     if len(anchors) < 2:
         raise CalibrationError("need at least two anchor lines")
@@ -309,23 +303,21 @@ def fit_calibration(anchors, crosschecks=(), *,
     if np.ptp(channels) < 1e-6:
         raise CalibrationError("anchor peaks coincide in channel, "
                                "degenerate fit")
-    gain = 1.0
-    for _ in range(2):
-        w = 1.0 / (gain * cerr) ** 2
-        sw = w.sum()
-        cx = (w * channels).sum() / sw
-        ce = (w * energies).sum() / sw
-        var = (w * (channels - cx) ** 2).sum()
-        if var <= 0:
-            raise CalibrationError("anchor peaks coincide in channel, "
-                                   "degenerate fit")
-        gain = (w * (channels - cx) * (energies - ce)).sum() / var
-        if gain <= 0:
-            raise CalibrationError("fitted gain is non-positive; peak "
-                                   "assignment is inconsistent")
-        offset = ce - gain * cx
-    gain_err = math.sqrt(1.0 / var)
-    offset_err = math.sqrt(1.0 / sw + cx * cx / var)
+    w = 1.0 / cerr ** 2
+    sw = w.sum()
+    cx = (w * channels).sum() / sw
+    ce = (w * energies).sum() / sw
+    var = (w * (channels - cx) ** 2).sum()
+    if var <= 0:
+        raise CalibrationError("anchor peaks coincide in channel, "
+                               "degenerate fit")
+    gain = (w * (channels - cx) * (energies - ce)).sum() / var
+    if gain <= 0:
+        raise CalibrationError("fitted gain is non-positive; peak "
+                               "assignment is inconsistent")
+    offset = ce - gain * cx
+    gain_err = gain * math.sqrt(1.0 / var)
+    offset_err = gain * math.sqrt(1.0 / sw + cx * cx / var)
 
     residuals = []
     fwhm_vals, fwhm_w = [], []
@@ -349,30 +341,6 @@ def fit_calibration(anchors, crosschecks=(), *,
     return result
 
 
-def _fit_cluster(raw: Spectrum, channels: np.ndarray, half: float,
-                 sigma0: float) -> list[PeakFit]:
-    """Joint fit of neighboring peaks sharing one constant background,
-    started at the expected positions.
-
-    Lines closer than two window half-widths would pollute each other's
-    single-peak fit through their tails, so they are fitted together.
-    """
-    if len(channels) == 1:
-        c = channels[0]
-        return [fit_gaussian(raw, (c - half, c + half))]
-
-    def expected(x, y, background0):
-        p0 = []
-        for c in channels:
-            near = np.abs(x - c) < sigma0
-            amplitude0 = max(float(y[near].max() - background0), 1.0) \
-                if near.any() else 1.0
-            p0 += [amplitude0, float(c), sigma0]
-        return p0 + [background0]
-
-    return _fit_window(raw, channels[0] - half, channels[-1] + half, expected)
-
-
 def calibrate_spectrum(raw: Spectrum, anchor_lines, crosscheck_lines=(), *,
                        expected_fwhm_ev: float,
                        approx_gain_ev_per_channel: float,
@@ -380,13 +348,13 @@ def calibrate_spectrum(raw: Spectrum, anchor_lines, crosscheck_lines=(), *,
                        window_halfwidth_sigmas: float,
                        residual_threshold_ev: float,
                        ) -> tuple[CalibrationResult, dict]:
-    """Full chain: peak search, per-peak fits, affine energy map.
+    """Full chain: peak search, window fits, affine energy map.
 
     `anchor_lines` and `crosscheck_lines` are sequences of EmissionLine.
     Candidate peaks are matched to lines by rank order in channel vs.
     energy, which assumes all expected lines are actually present.
     Lines whose configured spacing, mapped through the approximate gain,
-    is under two window half-widths are fitted jointly.
+    is under two window half-widths share one `fit_window` call.
     """
     wanted = tuple(anchor_lines) + tuple(crosscheck_lines)
     if len(wanted) < 2:
@@ -405,7 +373,7 @@ def calibrate_spectrum(raw: Spectrum, anchor_lines, crosscheck_lines=(), *,
     start = 0
     for i in range(1, len(picked) + 1):
         if i == len(picked) or spacing[i - 1] >= 2.0 * half:
-            cluster_fits = _fit_cluster(raw, picked[start:i], half, sigma_ch)
+            cluster_fits = fit_window(raw, picked[start:i], half, sigma_ch)
             for line, peak in zip(by_energy[start:i], cluster_fits):
                 fits[line.label] = peak
             start = i

@@ -224,8 +224,7 @@ def _parse(parser: configparser.ConfigParser, origin: str) -> AnalysisConfig:
     sec = take("injection")
     injection = InjectionConfig(
         line_energy_ev=lines["pep_forbidden"].energy_ev,
-        beta2_over_2=sec.number("beta2_over_2"),
-        enabled=sec.boolean("enabled"))
+        beta2_over_2=sec.number("beta2_over_2"))
     sec.finish()
 
     sec = take("roi")
@@ -248,21 +247,18 @@ def _parse(parser: configparser.ConfigParser, origin: str) -> AnalysisConfig:
             raise ConfigError(f"[roi] {key} = {edge} does not lie on a "
                               f"[binning] bin edge (bin width {width:g} eV)")
 
-    def parse_run(name: str) -> RunMeta:
+    def parse_run(name: str, current_on: bool) -> RunMeta:
+        # the section says whether the current is on; an off-run has none
         sec = take(name)
-        run = RunMeta(run_id=sec.text("run_id"),
-                      current_a=sec.number("current_a"),
+        current_a = sec.number("current_a") if current_on else 0.0
+        run = RunMeta(run_id=sec.text("run_id"), current_a=current_a,
                       live_time_s=sec.number("live_time_s"),
-                      current_on=sec.boolean("current_on"))
+                      current_on=current_on)
         sec.finish()
         return run
 
-    run_on = parse_run("run.on")
-    run_off = parse_run("run.off")
-    if not run_on.current_on:
-        raise ConfigError("[run.on] must have current_on = true")
-    if run_off.current_on:
-        raise ConfigError("[run.off] must have current_on = false")
+    run_on = parse_run("run.on", True)
+    run_off = parse_run("run.off", False)
 
     sec = take("limit")
     limit = LimitSettings(n_sigma=sec.number("n_sigma"),

@@ -75,14 +75,6 @@ class Section:
             raise ConfigError(
                 f"{self.label} {key} = {raw!r} is not an integer") from None
 
-    def boolean(self, key: str) -> bool:
-        raw = self._raw(key).strip().lower()
-        if raw in ("true", "yes", "on", "1"):
-            return True
-        if raw in ("false", "no", "off", "0"):
-            return False
-        raise ConfigError(f"{self.label} {key} = {raw!r} is not a boolean")
-
     def labels(self, key: str) -> tuple[str, ...]:
         return tuple(part.strip() for part in self._raw(key).split(",")
                      if part.strip())

@@ -8,8 +8,9 @@ differ only in the injection setting share identical background events.
 Stream layout for a run seeded with S: children 0..n-1 of SeedSequence(S)
 drive the n configured source lines in order, then continuum, calibration,
 muons, violation.  A run of live time T is cut into k = ceil(T / SLICE_S)
-equal time slices.  A component's stream draws its Poisson total first,
-then one multinomial split of it over the slices.  Slice s of the
+equal time slices, and a longer run than MAX_SLICES slices is refused
+before any is built.  A component's stream draws its Poisson total
+first, then one multinomial split of it over the slices.  Slice s of the
 component draws from child s of that stream: energies, times (uniform
 in the slice, sorted), normals, detector, then, for the muons alone, an
 SDD timing draw that is discarded and the veto tags.  Each slice merges
@@ -44,6 +45,9 @@ CONTINUUM_EXPONENTIAL = "exponential"
 
 _TIMING_JITTER_NS = 500
 SLICE_S = 86400.0       # a run is generated in slices of at most one day
+# about 179 years; each slice costs a column of counts and a seed
+# sequence per component before the first record is made
+MAX_SLICES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -102,11 +106,11 @@ class SourceModel:
 
 @dataclass(frozen=True)
 class InjectionConfig:
-    """Strength and energy of the simulated violation signal."""
+    """Strength and energy of the simulated violation signal;
+    beta2_over_2 = 0 injects none."""
 
     line_energy_ev: float
     beta2_over_2: float
-    enabled: bool
 
     def __post_init__(self):
         if self.beta2_over_2 < 0:
@@ -119,7 +123,7 @@ def expected_violation_counts(inj: InjectionConfig, run: RunMeta,
     """Expected ROI excess: (beta^2/2) * N_new * capture * N_int * eff."""
     if not 0.0 < efficiency <= 1.0:
         raise DomainError("efficiency must be in (0, 1]")
-    if not inj.enabled or not run.current_on:
+    if not run.current_on:
         return 0.0
     return (inj.beta2_over_2 * compute_n_new(run, consts)
             * consts.capture_fraction * compute_n_int(consts) * efficiency)
@@ -141,6 +145,16 @@ class ComponentTally:
     name: str
     expected: float
     sampled: int
+
+
+def _slice_count(run: RunMeta) -> int:
+    """Number of one-day slices of the run, at most MAX_SLICES."""
+    if run.live_time_s > MAX_SLICES * SLICE_S:
+        raise DomainError(
+            f"run {run.run_id}: live_time_s = {run.live_time_s} exceeds "
+            f"{MAX_SLICES * SLICE_S:.0f} s, the {MAX_SLICES} one-day "
+            "slices a run may span")
+    return max(1, math.ceil(run.live_time_s / SLICE_S))
 
 
 def _photon_records(rng: np.random.Generator, t0_s: float, t1_s: float,
@@ -220,7 +234,7 @@ def simulate_run(source: SourceModel, inj: InjectionConfig,
     # each component's total is the first draw of its stream; one
     # multinomial draw splits it over the slices, so the run's size is
     # known before any record is made
-    n_slices = max(1, math.ceil(live / SLICE_S))
+    n_slices = _slice_count(run)
     counts = np.zeros((len(components), n_slices), dtype=np.int64)
     slice_streams = []
     for c, ((_, expected, _, _), stream) in enumerate(
@@ -322,6 +336,8 @@ def simulate_campaign(source: SourceModel, inj: InjectionConfig,
     if not on_run.current_on or off_run.current_on:
         raise DomainError("campaign needs one current-on and one "
                           "current-off run")
+    for run in (on_run, off_run):
+        _slice_count(run)
     runs = zip((on_run, off_run), np.random.SeedSequence(seed).spawn(2))
     return (simulate_run(source, inj, response, efficiency, run, consts,
                          roi, run_seed) for run, run_seed in runs)

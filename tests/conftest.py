@@ -55,8 +55,7 @@ def silent_source(cfg):
 
 @pytest.fixture(scope="session")
 def no_injection(cfg):
-    return dataclasses.replace(cfg.injection, beta2_over_2=0.0,
-                               enabled=False)
+    return dataclasses.replace(cfg.injection, beta2_over_2=0.0)
 
 
 def pytest_terminal_summary(terminalreporter):

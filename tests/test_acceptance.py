@@ -79,7 +79,7 @@ class TestCriterion2:
                                        no_injection):
         with criterion(2, "forward/inverse injection consistency"):
             inj_on = dataclasses.replace(cfg.injection,
-                                         beta2_over_2=4.2e-29, enabled=True)
+                                         beta2_over_2=4.2e-29)
             inj_off = no_injection
             eff = cfg.limit.efficiency
             live = cfg.run_on.live_time_s

@@ -32,7 +32,7 @@ def calibration_run_spectrum(cfg, response, live_s, rate_hz, seed):
         continuum=dataclasses.replace(cfg.source.continuum, rate_hz=0.0),
         calibration_rate_hz=rate_hz)
     run = RunMeta("cal", 0.0, live_s, False)
-    no_injection = dataclasses.replace(cfg.injection, enabled=False)
+    no_injection = dataclasses.replace(cfg.injection, beta2_over_2=0.0)
     _, events, _ = simulate.simulate_run(
         source, no_injection, response, 0.01, run, cfg.constants, cfg.roi,
         seed)
@@ -103,11 +103,11 @@ class TestFindPeaks:
         assert np.all(np.diff(np.sort(found)) >= 85.0)
 
 
-class TestFitGaussian:
+class TestFitWindow:
     def test_high_stats_centroid(self):
         rng = np.random.default_rng(8)
         spec = channel_spectrum(gauss_counts(rng, 100_000, 5899, 85))
-        fit = calibrate.fit_gaussian(spec, (5899 - 212.5, 5899 + 212.5))
+        fit, = calibrate.fit_window(spec, [5899.0], 212.5, 85.0)
         assert abs(fit.centroid_channel - 5899) < 0.2
         assert fit.centroid_uncertainty < 0.5
         assert fit.amplitude > 0
@@ -127,30 +127,35 @@ class TestFitGaussian:
             cfg.roi, seed=5)
         spec = eventio.histogram(events, response=None, bins=NBINS,
                                  lo=-0.5, hi=NBINS - 0.5)
-        fit = calibrate.fit_gaussian(spec, (8040 - 212.5, 8040 + 212.5))
+        fit, = calibrate.fit_window(spec, [8040.0], 212.5, 85.0)
         fwhm_ev = FWHM_OVER_SIGMA * fit.sigma_channels \
             * response.gain_ev_per_channel
         assert fwhm_ev == pytest.approx(200.0, abs=3.0)
         assert fit.centroid_channel == pytest.approx(8040.0, abs=1.0)
 
-    def test_noiseless_symmetric_peak_unbiased(self):
+    @pytest.mark.parametrize("start_offset", [0.0, 42.5, 85.0])
+    def test_noiseless_symmetric_peak_unbiased(self, start_offset):
+        # started on the centre, and 0.5 and 1 sigma off it, with the
+        # window centred on the start
         x = np.arange(NBINS, dtype=np.float64)
         shape = 10_000 * np.exp(-0.5 * ((x - 8000) / 85.0) ** 2) + 50.0
         spec = channel_spectrum(np.rint(shape).astype(np.int64))
-        fit = calibrate.fit_gaussian(spec, (8000 - 250.0, 8000 + 250.0))
+        fit, = calibrate.fit_window(spec, [8000.0 + start_offset], 250.0,
+                                    85.0)
         assert abs(fit.centroid_channel - 8000.0) < 1e-3
         assert fit.sigma_channels == pytest.approx(85.0, abs=0.05)
         assert fit.background == pytest.approx(50.0, abs=1.0)
 
     def test_window_too_narrow(self):
         counts = np.full(NBINS, 100)
-        with pytest.raises(CalibrationError):
-            calibrate.fit_gaussian(channel_spectrum(counts), (100.0, 104.9))
+        with pytest.raises(CalibrationError, match="need at least 7"):
+            calibrate.fit_window(channel_spectrum(counts), [102.0], 2.45,
+                                 1.0)
 
     def test_window_too_empty(self):
         counts = np.full(NBINS, 5)
-        with pytest.raises(CalibrationError):
-            calibrate.fit_gaussian(channel_spectrum(counts), (100.0, 110.0))
+        with pytest.raises(CalibrationError, match="need at least 100"):
+            calibrate.fit_window(channel_spectrum(counts), [105.0], 5.0, 1.0)
 
     def test_doublet_fitted_as_one_line_trips_the_gate(self):
         # two equal lines 2.5 sigma apart read as one broad line: the
@@ -160,26 +165,24 @@ class TestFitGaussian:
             + gauss_counts(rng, 100_000, 5212, 85)
         with pytest.raises(FitError, match=r"chi2/dof [0-9.]+ in window "
                            r"\[4806\.0, 5406\.0\] exceeds"):
-            calibrate.fit_gaussian(channel_spectrum(counts), (4806.0, 5406.0))
+            calibrate.fit_window(channel_spectrum(counts), [5106.0], 300.0,
+                                 85.0)
 
     def test_no_convergence(self, monkeypatch):
         rng = np.random.default_rng(8)
         spec = channel_spectrum(gauss_counts(rng, 100_000, 5899, 85))
         monkeypatch.setattr(calibrate, "MAX_FIT_EVALS", 1)
         with pytest.raises(FitError, match="no convergence within 1 "):
-            calibrate.fit_gaussian(spec, (5899 - 212.5, 5899 + 212.5))
+            calibrate.fit_window(spec, [5899.0], 212.5, 85.0)
 
     def test_undefined_covariance(self):
-        # a second peak far outside the window leaves its three
-        # parameters without any constraint
+        # two Gaussians started on the same channel with the same width
+        # and amplitude have equal Jacobian columns: the curvature matrix
+        # is singular
         rng = np.random.default_rng(8)
         spec = channel_spectrum(gauss_counts(rng, 100_000, 5899, 85))
-
-        def start(x, y, background0):
-            return [1000.0, 5899.0, 85.0, 1000.0, -1e6, 1.0, background0]
-
         with pytest.raises(FitError, match="undefined fit covariance"):
-            calibrate._fit_window(spec, 5899 - 212.5, 5899 + 212.5, start)
+            calibrate.fit_window(spec, [5899.0, 5899.0], 212.5, 85.0)
 
     def test_peak_fit_invariants(self):
         good = dict(centroid_channel=100.0, sigma_channels=5.0,
@@ -218,6 +221,21 @@ class TestFitCalibration:
         expected_fwhm = FWHM_OVER_SIGMA * 85.0 * gain
         assert result.resolution_fwhm_at_8kev == pytest.approx(
             expected_fwhm, rel=1e-12)
+
+    def test_uncertainties_in_energy(self):
+        # channel errors of 0.05 are 0.05 * gain eV; two anchors d
+        # channels apart fix the gain to sqrt(2) * 0.05 * gain / d
+        gain, offset = 2.0, -300.0
+        channels = [(e - offset) / gain for e in (4510.84, 5898.75)]
+        anchors = [(exact_peak(c), offset + gain * c) for c in channels]
+        result = calibrate.fit_calibration(anchors,
+                                           residual_threshold_ev=5.0)
+        d = channels[1] - channels[0]
+        mean = sum(channels) / 2
+        assert result.gain_uncertainty == pytest.approx(
+            math.sqrt(2) * 0.05 * gain / d, rel=1e-9)
+        assert result.offset_uncertainty == pytest.approx(
+            0.05 * gain * math.sqrt(0.5 + 2 * mean ** 2 / d ** 2), rel=1e-9)
 
     def test_needs_two_anchors(self):
         with pytest.raises(CalibrationError):

@@ -61,8 +61,8 @@ def small_config_text():
         "current_a = 100.0\nlive_time_s = 2937600",
         f"current_a = 100.0\nlive_time_s = {ON_SMALL_S}")
     text = text.replace(
-        "current_a = 0.0\nlive_time_s = 2419200",
-        f"current_a = 0.0\nlive_time_s = {OFF_SMALL_S}")
+        "run_id = off-0A-28d\nlive_time_s = 2419200",
+        f"run_id = off-0A-28d\nlive_time_s = {OFF_SMALL_S}")
     return text
 
 
@@ -518,6 +518,29 @@ class TestExitCodes:
             "u32 field\n")
         assert not any(out.glob("*.run"))
 
+    @pytest.mark.parametrize("live_time_s", ["1e20", "1e12"])
+    def test_live_time_past_the_slice_bound(self, live_time_s, tmp_path):
+        # 1e20 s would size a 49.3 PiB table of per-slice counts and 1e12 s
+        # spawn 11.6M seed sequences per component; the child process runs
+        # under a 3e6 KiB address-space limit, so that no version of the
+        # program can take the machine's memory in this test
+        cfg_path = tmp_path / "long.cfg"
+        cfg_path.write_text(small_config_text().replace(
+            f"live_time_s = {ON_SMALL_S}", f"live_time_s = {live_time_s}"))
+        out = tmp_path / "out"
+        src = Path(pepsearch.__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-c", UNDER_3E6_KIB, "simulate", "--seed", "1",
+             "--config", str(cfg_path), "--output-dir", str(out)],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 1
+        assert proc.stderr == (
+            f"error: run on-100A-34d: live_time_s = {float(live_time_s)} "
+            "exceeds 5662310400 s, the 65536 one-day slices a run may "
+            "span\n")
+        assert not any(out.glob("*.run"))
+
     @pytest.mark.parametrize("command", ["calibrate", "analyze"])
     def test_version_2_run_file(self, command, small_cfg_path, campaign_dir,
                                 tmp_path, capsys):
@@ -562,6 +585,16 @@ class TestOutputDirPrecedence:
         assert rc == 0
         assert (env_dir / "reproduction.txt").exists()
 
+
+# runs `python -m pepsearch.cli` with its address space capped at 3e6 KiB,
+# as `ulimit -v 3000000` caps it
+UNDER_3E6_KIB = """\
+import resource, runpy
+
+limit = 3_000_000 * 1024
+resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+runpy.run_module("pepsearch.cli", run_name="__main__")
+"""
 
 # runs `python -m pepsearch.cli` with every scipy import failing
 WITHOUT_SCIPY = """\

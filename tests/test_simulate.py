@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -86,8 +87,7 @@ class TestExpectedViolationCounts:
     def setup(self, cfg):
         self.consts = cfg.constants
         self.run = core.RunMeta("on", 100.0, 34 * 86400.0, True)
-        self.inj = dataclasses.replace(cfg.injection, beta2_over_2=4.2e-29,
-                                       enabled=True)
+        self.inj = dataclasses.replace(cfg.injection, beta2_over_2=4.2e-29)
 
     def test_reference_point(self):
         lam = simulate.expected_violation_counts(self.inj, self.run,
@@ -97,12 +97,6 @@ class TestExpectedViolationCounts:
 
     def test_zero_strength(self):
         inj = dataclasses.replace(self.inj, beta2_over_2=0.0)
-        assert simulate.expected_violation_counts(inj, self.run, self.consts,
-                                                  0.01) == 0.0
-
-    def test_disabled(self):
-        inj = dataclasses.replace(self.inj, beta2_over_2=1e-20,
-                                  enabled=False)
         assert simulate.expected_violation_counts(inj, self.run, self.consts,
                                                   0.01) == 0.0
 
@@ -244,10 +238,27 @@ class TestSimulateRun:
             simulate.simulate_run(quiet_source, no_injection, cfg.response,
                                   0.01, huge, cfg.constants, cfg.roi, 1)
 
+    def test_live_time_bounded_before_slicing(self, cfg, silent_source,
+                                              no_injection):
+        # a silent source makes no record, so a run that gets past the
+        # bound costs only its per-slice tables; 1e20 s would ask for
+        # 1.2e15 of them
+        limit = simulate.MAX_SLICES * simulate.SLICE_S
+        assert limit == 65536 * 86400.0
+        edge = dataclasses.replace(cfg.run_on, live_time_s=limit)
+        assert simulate._slice_count(edge) == simulate.MAX_SLICES
+        for live in (limit + 1.0, 1e20):
+            huge = dataclasses.replace(cfg.run_on, live_time_s=live)
+            message = (f"run on-100A-34d: live_time_s = {live} exceeds "
+                       "5662310400 s, the 65536 one-day slices")
+            with pytest.raises(DomainError, match=re.escape(message)):
+                simulate.simulate_run(silent_source, no_injection,
+                                      cfg.response, 0.01, huge,
+                                      cfg.constants, cfg.roi, 1)
+
     def test_violation_only_when_enabled(self, cfg, quiet_source):
         run = dataclasses.replace(cfg.run_on, live_time_s=86400)
-        inj = dataclasses.replace(cfg.injection, beta2_over_2=4.2e-29,
-                                  enabled=True)
+        inj = dataclasses.replace(cfg.injection, beta2_over_2=4.2e-29)
         _, _, tallies = simulate.simulate_run(
             quiet_source, inj, cfg.response, 0.01, run, cfg.constants,
             cfg.roi, 4)
@@ -283,8 +294,7 @@ class TestSimulateRun:
         assert abs(events["adc"].mean() - expect) < 5 * sigma_ch / math.sqrt(n)
 
     def test_paired_injection_excess(self, cfg, quiet_source, no_injection):
-        inj = dataclasses.replace(cfg.injection, beta2_over_2=4.2e-29,
-                                  enabled=True)
+        inj = dataclasses.replace(cfg.injection, beta2_over_2=4.2e-29)
         _, ev_inj, _ = simulate.simulate_run(
             quiet_source, inj, cfg.response, 0.01, cfg.run_on, cfg.constants,
             cfg.roi, 0)
@@ -375,6 +385,15 @@ class TestSimulateCampaign:
             simulate.simulate_campaign(
                 quiet_source, no_injection, cfg.response, 0.01, cfg.run_off,
                 cfg.run_on, cfg.constants, cfg.roi, 1)
+
+    def test_off_run_live_time_checked_at_once(self, cfg, quiet_source,
+                                               no_injection):
+        # the off-run's bound fails the call, before the on-run is made
+        huge = dataclasses.replace(cfg.run_off, live_time_s=1e20)
+        with pytest.raises(DomainError, match="run off-0A-28d: live_time_s"):
+            simulate.simulate_campaign(
+                quiet_source, no_injection, cfg.response, 0.01, cfg.run_on,
+                huge, cfg.constants, cfg.roi, 1)
 
     def test_runs_generated_one_at_a_time(self, cfg, quiet_source,
                                           no_injection, monkeypatch):
