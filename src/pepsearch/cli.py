@@ -146,16 +146,11 @@ def analyze_runs(cfg, on_path: Path, off_path: Path, response,
     if not on_header.current_on or off_header.current_on:
         raise DomainError("analyze expects --on current-on and --off "
                           "current-off run files")
-    n_on = limits_mod.count_roi(on_spec, cfg.roi)
     n_off_raw = limits_mod.count_roi(off_spec, cfg.roi)
-    off_norm = limits_mod.normalize_livetime(
-        n_off_raw, float(off_header.live_time_s),
-        float(on_header.live_time_s), error_mode)
     sub = limits_mod.subtract(
-        n_on, off_norm,
-        normalization_factor=(float(on_header.live_time_s)
-                              / float(off_header.live_time_s)),
-        error_mode=error_mode)
+        limits_mod.count_roi(on_spec, cfg.roi), n_off_raw,
+        float(on_header.live_time_s), float(off_header.live_time_s),
+        error_mode)
     record = limits_mod.AnalysisRecord(
         subtraction=sub, n_off_raw=n_off_raw,
         on_run=on_header.to_meta(),
@@ -168,8 +163,7 @@ def cmd_analyze(args, cfg, out: Path) -> int:
     if args.calibration:
         response = config_mod.load_response_file(args.calibration)
     record, on_spec, off_spec = analyze_runs(
-        cfg, Path(args.on), Path(args.off), response,
-        args.error_mode or cfg.limit.error_mode)
+        cfg, Path(args.on), Path(args.off), response, cfg.limit.error_mode)
     for name, spec in (("spectrum_on.txt", on_spec),
                        ("spectrum_off.txt", off_spec)):
         with _atomic_write(out / name) as fh:
@@ -191,9 +185,8 @@ def cmd_limit(args, cfg, out: Path) -> int:
             config_mod.read_text(args.efficiency_file)).efficiency
     result = limits_mod.compute_limit(
         record.subtraction, record.on_run, cfg.constants, efficiency,
-        n_sigma=args.nsigma if args.nsigma is not None else cfg.limit.n_sigma,
-        bound_convention=(args.bound_convention or
-                          cfg.limit.bound_convention))
+        n_sigma=cfg.limit.n_sigma,
+        bound_convention=cfg.limit.bound_convention)
     report = limits_mod.render_limit_report(
         result, n_off_raw=record.n_off_raw,
         off_live_time_s=record.off_live_time_s,
@@ -276,8 +269,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--off", required=True, metavar="RUNFILE")
     p.add_argument("--calibration", metavar="RESPONSEFILE",
                    help="use a measured [response] instead of the config")
-    p.add_argument("--error-mode", choices=list(limits_mod.ERROR_MODES),
-                   help="default: the config's [limit] error_mode")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("limit", parents=[shared],
@@ -285,9 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--analysis", required=True, metavar="FILE")
     p.add_argument("--efficiency-file", metavar="FILE",
                    help="take the efficiency from a Monte Carlo artifact")
-    p.add_argument("--nsigma", type=float)
-    p.add_argument("--bound-convention",
-                   choices=list(limits_mod.BOUND_CONVENTIONS))
     p.set_defaults(func=cmd_limit)
 
     p = sub.add_parser("project", parents=[shared],
@@ -314,6 +302,11 @@ def main(argv=None) -> int:
         return 2
     except (DomainError, FormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        # numpy names the allocation that failed; a bare MemoryError is empty
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: out of memory{detail}", file=sys.stderr)
         return 1
 
 

@@ -151,8 +151,9 @@ def _encode_header(header: RunHeader) -> bytes:
 
 
 def write_run(header: RunHeader, events: np.ndarray,
-              destination: BinaryIO | str | Path) -> int:
-    """Write one run file; returns the number of bytes written.
+              destination: BinaryIO) -> int:
+    """Write one run file to a binary handle; returns the number of bytes
+    written.
 
     ``events`` must be an EVENT_DTYPE array sorted by timestamp, with
     exactly ``header.event_count`` records.
@@ -165,18 +166,14 @@ def write_run(header: RunHeader, events: np.ndarray,
     validate_records(events, base_offset=len(head))
     # written from the array's own buffer; only a strided input is copied
     payload = memoryview(np.ascontiguousarray(events)).cast("B")
-    if isinstance(destination, (str, Path)):
-        with open(destination, "wb") as fh:
-            fh.write(head)
-            fh.write(payload)
-    else:
-        destination.write(head)
-        destination.write(payload)
+    destination.write(head)
+    destination.write(payload)
     return len(head) + len(payload)
 
 
-def read_run(source: BinaryIO | bytes | str | Path) -> tuple[RunHeader, np.ndarray]:
-    """Parse a run file, validating structure and record invariants.
+def read_run(source: bytes | str | Path) -> tuple[RunHeader, np.ndarray]:
+    """Parse a run file, given by path or as its bytes, validating
+    structure and record invariants.
 
     Returns the header and the full, writable record array, a view of
     the one buffer the file is read into.  Raises a FormatError subclass
@@ -186,10 +183,8 @@ def read_run(source: BinaryIO | bytes | str | Path) -> tuple[RunHeader, np.ndarr
         with open(source, "rb") as fh:
             data = bytearray(os.fstat(fh.fileno()).st_size)
             del data[fh.readinto(data):]
-    elif isinstance(source, (bytes, bytearray)):
-        data = bytearray(source)
     else:
-        data = bytearray(source.read())
+        data = bytearray(source)
 
     if len(data) < _HEAD_FIXED.size:
         raise TruncatedFileError("file ends inside the fixed header",
@@ -316,8 +311,9 @@ def histogram(events: np.ndarray, response: ResponseModel | None,
                     overflow=int(table[values >= hi].sum()))
 
 
-def export_spectrum(spec: Spectrum, destination: BinaryIO | str | Path) -> None:
-    """Write a spectrum as two-column text (bin center, counts).
+def export_spectrum(spec: Spectrum, destination: BinaryIO) -> None:
+    """Write a spectrum to a binary handle as two-column text (bin center,
+    counts).
 
     Metadata lines are prefixed with '#'.
     """
@@ -333,8 +329,4 @@ def export_spectrum(spec: Spectrum, destination: BinaryIO | str | Path) -> None:
     ]
     for center, n in zip(spec.bin_centers, spec.counts):
         lines.append(f"{center:.6g} {int(n)}")
-    text = "\n".join(lines) + "\n"
-    if isinstance(destination, (str, Path)):
-        Path(destination).write_text(text)
-    else:
-        destination.write(text.encode())
+    destination.write(("\n".join(lines) + "\n").encode())

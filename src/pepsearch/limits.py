@@ -75,7 +75,13 @@ def count_roi(spec: Spectrum, roi: RoiDefinition) -> Measurement:
             f"range [{spec.lo}, {spec.hi}) eV")
     centers = spec.bin_centers
     mask = (centers >= roi.low_ev) & (centers < roi.high_ev)
-    n = float(spec.counts[mask].sum())
+    return poisson_count(float(spec.counts[mask].sum()))
+
+
+def poisson_count(n: float) -> Measurement:
+    """A number of counted events with its Poisson uncertainty, sqrt(n)."""
+    if n < 0:
+        raise DomainError(f"a count must be non-negative, got {n!r}")
     return Measurement(n, math.sqrt(n))
 
 
@@ -88,7 +94,7 @@ def normalize_livetime(count: Measurement, from_seconds: float,
     the input uncertainty by the same factor as the value.
     """
     if mode not in ERROR_MODES:
-        raise DomainError(f"unknown error mode {mode!r}")
+        raise DomainError(f"unknown error_mode {mode!r}")
     if from_seconds <= 0:
         raise DomainError("source live time must be positive")
     if to_seconds < 0:
@@ -112,22 +118,25 @@ class SubtractionResult:
     normalization_factor: float
     error_mode: str
 
-    def __post_init__(self):
-        if self.error_mode not in ERROR_MODES:
-            raise DomainError(f"unknown error_mode {self.error_mode!r}")
 
-
-def subtract(on: Measurement, off_normalized: Measurement,
-             normalization_factor: float,
+def subtract(n_on: Measurement, n_off_raw: Measurement,
+             on_live_time_s: float, off_live_time_s: float,
              error_mode: str) -> SubtractionResult:
-    """Subtract two same-footing counts; uncertainties add in quadrature."""
+    """Bring the off-run count to the on-run live time and subtract it;
+    uncertainties add in quadrature.
+
+    This is the only place a SubtractionResult is made, so the derived
+    values always agree with the counts and live times they come from.
+    """
+    off_normalized = normalize_livetime(n_off_raw, off_live_time_s,
+                                        on_live_time_s, error_mode)
     delta = Measurement(
-        on.value - off_normalized.value,
-        math.hypot(on.uncertainty, off_normalized.uncertainty))
-    return SubtractionResult(n_on=on, n_off_normalized=off_normalized,
-                             delta=delta,
-                             normalization_factor=normalization_factor,
-                             error_mode=error_mode)
+        n_on.value - off_normalized.value,
+        math.hypot(n_on.uncertainty, off_normalized.uncertainty))
+    return SubtractionResult(
+        n_on=n_on, n_off_normalized=off_normalized, delta=delta,
+        normalization_factor=on_live_time_s / off_live_time_s,
+        error_mode=error_mode)
 
 
 def compute_n_new(run: RunMeta, consts: PhysicsConstants) -> float:
@@ -230,9 +239,10 @@ def project_sensitivity(target_beta2_over_2: float, sigma_delta_ref: float,
                           "positive")
     ref_run = RunMeta(run_id="projection-reference", current_a=current_a,
                       live_time_s=live_time_ref_s, current_on=True)
+    # an empty off-run over the same live time leaves delta = 0 +/- sigma
     ref_delta = subtract(Measurement(0.0, sigma_delta_ref),
-                         Measurement(0.0, 0.0), normalization_factor=1.0,
-                         error_mode=ERROR_MODE_PAPER)
+                         poisson_count(0.0), live_time_ref_s, live_time_ref_s,
+                         ERROR_MODE_PAPER)
     ref = compute_limit(ref_delta, ref_run, consts, efficiency,
                         n_sigma=n_sigma, bound_convention=BOUND_PAPER)
     factor = ref.beta2_over_2_limit / target_beta2_over_2
@@ -249,23 +259,17 @@ def project_sensitivity(target_beta2_over_2: float, sigma_delta_ref: float,
         required_live_time_fixed_sigma_s=fixed)
 
 
-def render_limit_report(limit: LimitResult,
-                        n_off_raw: Measurement | None = None,
-                        off_live_time_s: float | None = None,
-                        on_live_time_s: float | None = None) -> str:
+def render_limit_report(limit: LimitResult, n_off_raw: Measurement,
+                        off_live_time_s: float,
+                        on_live_time_s: float) -> str:
     """Plain-text audit of every intermediate in the bound arithmetic."""
     sub = limit.delta
     lines = ["upper-limit audit", "================="]
     lines.append(f"N_on             = {sub.n_on}")
-    if n_off_raw is not None:
-        extent = ""
-        if off_live_time_s is not None:
-            extent = f"   ({off_live_time_s / 86400.0:.3f} d)"
-        lines.append(f"N_off_raw        = {n_off_raw}{extent}")
-    target = ""
-    if on_live_time_s is not None:
-        target = f"   (to {on_live_time_s / 86400.0:.3f} d)"
-    lines.append(f"normalization    = {sub.normalization_factor:.6f}{target}")
+    lines.append(f"N_off_raw        = {n_off_raw}   "
+                 f"({off_live_time_s / 86400.0:.3f} d)")
+    lines.append(f"normalization    = {sub.normalization_factor:.6f}   "
+                 f"(to {on_live_time_s / 86400.0:.3f} d)")
     lines.append(f"N_off_normalized = {sub.n_off_normalized}")
     lines.append(f"delta            = {sub.delta}   "
                  f"(error mode: {sub.error_mode})")
@@ -294,10 +298,12 @@ class AnalysisRecord:
 
 
 def render_analysis_report(record: AnalysisRecord) -> str:
-    """Key = value text with full-precision numbers.
+    """Key = value text of what the counting stage measured: the ROI, the
+    two counts and the two live times.
 
-    The limit stage parses this back, so a file round-trip must be
-    bit-exact; floats are written with repr.
+    Full-precision numbers, written with repr, so that a file round-trip
+    is bit-exact.  The subtraction is not written: the limit stage derives
+    it again from these values.
     """
     sub = record.subtraction
     run = record.on_run
@@ -306,14 +312,7 @@ def render_analysis_report(record: AnalysisRecord) -> str:
         ("roi_high_ev", repr(record.roi.high_ev)),
         ("error_mode", sub.error_mode),
         ("n_on", repr(sub.n_on.value)),
-        ("n_on_sigma", repr(sub.n_on.uncertainty)),
         ("n_off_raw", repr(record.n_off_raw.value)),
-        ("n_off_raw_sigma", repr(record.n_off_raw.uncertainty)),
-        ("n_off_normalized", repr(sub.n_off_normalized.value)),
-        ("n_off_normalized_sigma", repr(sub.n_off_normalized.uncertainty)),
-        ("normalization", repr(sub.normalization_factor)),
-        ("delta", repr(sub.delta.value)),
-        ("delta_sigma", repr(sub.delta.uncertainty)),
         ("on_run_id", run.run_id),
         ("on_current_a", repr(run.current_a)),
         ("on_live_time_s", repr(run.live_time_s)),
@@ -325,26 +324,21 @@ def render_analysis_report(record: AnalysisRecord) -> str:
 
 
 def parse_analysis_report(text: str) -> AnalysisRecord:
-    """Inverse of render_analysis_report."""
+    """Inverse of render_analysis_report; the counts get their Poisson
+    uncertainties and the subtraction is recomputed from them."""
     sec = Section.from_text("analysis report", text)
-
-    def measurement(key: str) -> Measurement:
-        return Measurement(sec.number(key), sec.number(key + "_sigma"))
-
-    sub = SubtractionResult(
-        n_on=measurement("n_on"),
-        n_off_normalized=measurement("n_off_normalized"),
-        delta=measurement("delta"),
-        normalization_factor=sec.number("normalization"),
-        error_mode=sec.text("error_mode"))
+    n_off_raw = poisson_count(sec.number("n_off_raw"))
+    on_run = RunMeta(run_id=sec.text("on_run_id"),
+                     current_a=sec.number("on_current_a"),
+                     live_time_s=sec.number("on_live_time_s"),
+                     current_on=True)
+    off_live_time_s = sec.number("off_live_time_s")
+    sub = subtract(poisson_count(sec.number("n_on")), n_off_raw,
+                   on_run.live_time_s, off_live_time_s,
+                   sec.text("error_mode"))
     return AnalysisRecord(
-        subtraction=sub,
-        n_off_raw=measurement("n_off_raw"),
-        on_run=RunMeta(run_id=sec.text("on_run_id"),
-                       current_a=sec.number("on_current_a"),
-                       live_time_s=sec.number("on_live_time_s"),
-                       current_on=True),
-        off_live_time_s=sec.number("off_live_time_s"),
+        subtraction=sub, n_off_raw=n_off_raw, on_run=on_run,
+        off_live_time_s=off_live_time_s,
         roi=RoiDefinition(low_ev=sec.number("roi_low_ev"),
                           high_ev=sec.number("roi_high_ev")))
 

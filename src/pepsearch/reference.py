@@ -1,8 +1,8 @@
 """Audit chain over the published counting result.
 
 Feeds the published inputs (on-run and raw off-run ROI counts, live
-times, current, constants) through the same normalize / subtract / limit
-code used for simulated data, and checks the resulting bound against the
+times, current, constants) through the same subtract / limit code used
+for simulated data, and checks the resulting bound against the
 published value.  The arithmetic is pure, so the whole chain runs in
 well under a second.
 """
@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from .config import AnalysisConfig
 from .core import RunMeta
 from .errors import DomainError
-from .limits import (BOUND_PAPER, ERROR_MODE_PAPER, LimitResult, Measurement,
-                     compute_limit, normalize_livetime, render_limit_report,
+from .limits import (BOUND_PAPER, ERROR_MODE_PAPER, LimitResult,
+                     compute_limit, poisson_count, render_limit_report,
                      subtract)
 
 REPRODUCTION_TOLERANCE = 0.02
@@ -69,13 +69,10 @@ def reproduce_reference(cfg: AnalysisConfig) -> ReproductionResult:
     """Run the published inputs through the counting analysis."""
     check_reference_constants(cfg)
     ref = PUBLISHED_REFERENCE
-    n_on = Measurement(ref["n_on_counts"], math.sqrt(ref["n_on_counts"]))
-    n_off_raw = Measurement(ref["n_off_raw_counts"],
-                            math.sqrt(ref["n_off_raw_counts"]))
+    n_off_raw = poisson_count(ref["n_off_raw_counts"])
     on_s, off_s = ref["on_live_time_s"], ref["off_live_time_s"]
-    off_norm = normalize_livetime(n_off_raw, off_s, on_s, ERROR_MODE_PAPER)
-    sub = subtract(n_on, off_norm, normalization_factor=on_s / off_s,
-                   error_mode=ERROR_MODE_PAPER)
+    sub = subtract(poisson_count(ref["n_on_counts"]), n_off_raw, on_s, off_s,
+                   ERROR_MODE_PAPER)
     run = RunMeta(run_id="published-on", current_a=ref["current_a"],
                   live_time_s=on_s, current_on=True)
     limit = compute_limit(sub, run, cfg.constants, ref["efficiency"],

@@ -114,16 +114,10 @@ class TestCriterion3:
                     off_run, cfg.constants, cfg.roi, seed)
                 raw_on = roi_count(cfg, ev_on, on_run.live_time_s)
                 raw_off = roi_count(cfg, ev_off, off_run.live_time_s)
-                n_on = limits.Measurement(raw_on, math.sqrt(raw_on))
-                n_off = limits.normalize_livetime(
-                    limits.Measurement(raw_off, math.sqrt(raw_off)),
-                    off_run.live_time_s, on_run.live_time_s,
-                    limits.ERROR_MODE_PAPER)
                 sub = limits.subtract(
-                    n_on, n_off,
-                    normalization_factor=(on_run.live_time_s
-                                          / off_run.live_time_s),
-                    error_mode=limits.ERROR_MODE_PAPER)
+                    limits.poisson_count(raw_on),
+                    limits.poisson_count(raw_off), on_run.live_time_s,
+                    off_run.live_time_s, limits.ERROR_MODE_PAPER)
                 pulls.append(sub.delta.value / sub.delta.uncertainty)
                 bounds.append(limits.compute_limit(
                     sub, on_run, cfg.constants, eff, n_sigma=3.0,

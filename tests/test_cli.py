@@ -1,14 +1,18 @@
 """End-to-end checks of the command-line pipeline."""
 
+import contextlib
 import hashlib
+import io
 import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import pepsearch
 from pepsearch import cli, config, limits, reference
@@ -40,7 +44,7 @@ PINNED_SHA256 = {
     "spectrum_off.txt":
         "ad515c2b6295ca10a01d1315600537cfc955e9f61e9fb78aa56bb0817b48962e",
     "analysis.txt":
-        "b40553aa94d60b5753257e557a7652446483c9458fbc4d2838025ffc3209432d",
+        "03f562235a0eb0f906f145fc8e542b797b2065ac3f5e2cfe1e5d6236a3ced7d8",
     "limit.txt":
         "1ab06f7857db1bd778a991f116b1be6367181bf827bfa195ef0e4ba098fac65c",
 }
@@ -80,13 +84,14 @@ def small_cfg():
 
 def artifact_texts(cfg):
     """Valid analysis.txt and efficiency.txt texts, keyed by file name."""
+    n_off_raw = limits.poisson_count(1796.0)
     record = limits.AnalysisRecord(
-        subtraction=limits.subtract(limits.Measurement(2222.0, 47.0),
-                                    limits.Measurement(2181.0, 47.0), 1.0,
+        subtraction=limits.subtract(limits.poisson_count(2222.0), n_off_raw,
+                                    cfg.run_on.live_time_s,
+                                    cfg.run_off.live_time_s,
                                     cfg.limit.error_mode),
-        n_off_raw=limits.Measurement(1796.0, 42.0),
-        on_run=cfg.run_on, off_live_time_s=cfg.run_off.live_time_s,
-        roi=cfg.roi)
+        n_off_raw=n_off_raw, on_run=cfg.run_on,
+        off_live_time_s=cfg.run_off.live_time_s, roi=cfg.roi)
     return {
         "analysis.txt": limits.render_analysis_report(record),
         "efficiency.txt": render_efficiency_report(EfficiencyResult(
@@ -242,23 +247,29 @@ class TestChain:
         assert err.startswith("error:")
         assert "\n" not in err
 
-    def test_analyze_error_mode_from_config(self, campaign_dir, tmp_path):
+    def test_analyze_error_mode_from_config(self, small_cfg_path,
+                                            campaign_dir, tmp_path):
         text = small_config_text().replace("error_mode = paper-naive",
                                            "error_mode = propagated")
         cfg_path = tmp_path / "propagated.cfg"
         cfg_path.write_text(text)
         runs = ["--on", str(campaign_dir / "on-100A-34d.run"),
-                "--off", str(campaign_dir / "off-0A-28d.run"),
-                "--config", str(cfg_path)]
+                "--off", str(campaign_dir / "off-0A-28d.run")]
         modes = {}
-        for name, flag in (("config", []),
-                           ("flag", ["--error-mode", "paper-naive"])):
+        for name, path in (("default", small_cfg_path),
+                           ("propagated", cfg_path)):
             out = tmp_path / name
-            assert cli.main(["analyze"] + runs + flag
-                            + ["--output-dir", str(out)]) == 0
+            assert cli.main(["analyze"] + runs + ["--config", str(path),
+                                                  "--output-dir",
+                                                  str(out)]) == 0
+            assert cli.main(["limit", "--analysis", str(out / "analysis.txt"),
+                             "--config", str(path),
+                             "--output-dir", str(out)]) == 0
             modes[name] = limits.parse_analysis_report(
                 (out / "analysis.txt").read_text()).subtraction.error_mode
-        assert modes == {"config": "propagated", "flag": "paper-naive"}
+            assert f"(error mode: {modes[name]})" in \
+                (out / "limit.txt").read_text()
+        assert modes == {"default": "paper-naive", "propagated": "propagated"}
 
     def test_strong_injection_shows_up(self, tmp_path):
         # beta^2/2 three decades above the published bound must produce an
@@ -380,7 +391,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("artifact, key", [
         ("efficiency", "efficiency"),
-        ("analysis", "delta_sigma"),
+        ("analysis", "n_off_raw"),
         ("analysis", "error_mode"),
     ])
     def test_non_numeric_artifact_value(self, artifact, key, small_cfg,
@@ -438,17 +449,23 @@ class TestExitCodes:
         assert "\n" not in err
         assert not (tmp_path / "limit.txt").exists()
 
+    # n_sigma has no flag: the config is the one place it is set
     @pytest.mark.parametrize("argv, artifact, match", [
-        ("limit --analysis analysis.txt --nsigma nan", "limit.txt",
-         "n_sigma"),
-        ("limit --analysis analysis.txt --nsigma inf", "limit.txt",
-         "n_sigma"),
+        ("limit --analysis analysis.txt --config nsigma-nan.cfg",
+         "limit.txt", "n_sigma"),
+        ("limit --analysis analysis.txt --config nsigma-inf.cfg",
+         "limit.txt", "n_sigma"),
         ("project --target inf", "projection.txt", "target bound"),
     ], ids=["nsigma-nan", "nsigma-inf", "target-inf"])
     def test_non_finite_flag(self, argv, artifact, match, small_cfg,
                              tmp_path, capsys, monkeypatch):
         (tmp_path / "analysis.txt").write_text(
             artifact_texts(small_cfg)["analysis.txt"])
+        for value in ("nan", "inf"):
+            text = config.default_config_text()
+            assert "n_sigma = 3.0" in text
+            (tmp_path / f"nsigma-{value}.cfg").write_text(
+                text.replace("n_sigma = 3.0", f"n_sigma = {value}"))
         monkeypatch.chdir(tmp_path)
         rc = cli.main(argv.split() + ["--output-dir", "out"])
         assert rc == 1
@@ -457,6 +474,36 @@ class TestExitCodes:
         assert "\n" not in err
         assert match in err
         assert not (tmp_path / "out" / artifact).exists()
+
+    @pytest.mark.parametrize("key, value, match", [
+        ("n_off_raw", "-5.0", "count must be non-negative"),
+        ("n_on", "-1.0", "count must be non-negative"),
+        ("off_live_time_s", "0.0", "source live time must be positive"),
+    ], ids=["negative-count", "negative-on-count", "zero-off-live-time"])
+    def test_impossible_analysis_value(self, key, value, match, small_cfg,
+                                       tmp_path, capsys):
+        text = artifact_texts(small_cfg)["analysis.txt"]
+        lines = [f"{key} = {value}" if line.startswith(key + " =") else line
+                 for line in text.splitlines()]
+        assert lines != text.splitlines()
+        (tmp_path / "analysis.txt").write_text("\n".join(lines) + "\n")
+        rc = cli.main(["limit", "--analysis", str(tmp_path / "analysis.txt"),
+                       "--output-dir", str(tmp_path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert match in err
+        assert not (tmp_path / "limit.txt").exists()
+
+    @pytest.mark.parametrize("argv", [
+        "analyze --on a.run --off b.run --error-mode propagated",
+        "limit --analysis analysis.txt --nsigma 2",
+        "limit --analysis analysis.txt --bound-convention paper",
+    ], ids=["error-mode", "nsigma", "bound-convention"])
+    def test_limit_convention_flags_are_gone(self, argv, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv.split() + ["--output-dir", str(tmp_path)])
+        assert exc.value.code == 2
 
     @pytest.mark.parametrize("leading", [True, False],
                              ids=["leading", "trailing"])
@@ -541,6 +588,25 @@ class TestExitCodes:
             "span\n")
         assert not any(out.glob("*.run"))
 
+    def test_out_of_memory(self, tmp_path):
+        # 1e9 s is inside the slice bound but draws about 2.1e9 events,
+        # whose 23 GiB record array cannot be had under a 3e6 KiB
+        # address-space limit
+        cfg_path = tmp_path / "long.cfg"
+        cfg_path.write_text(small_config_text().replace(
+            f"live_time_s = {ON_SMALL_S}", "live_time_s = 1e9"))
+        out = tmp_path / "out"
+        src = Path(pepsearch.__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-c", UNDER_3E6_KIB, "simulate", "--seed", "1",
+             "--config", str(cfg_path), "--output-dir", str(out)],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: out of memory")
+        assert proc.stderr.count("\n") == 1
+        assert not any(out.glob("*.run"))
+
     @pytest.mark.parametrize("command", ["calibrate", "analyze"])
     def test_version_2_run_file(self, command, small_cfg_path, campaign_dir,
                                 tmp_path, capsys):
@@ -565,6 +631,47 @@ class TestExitCodes:
         assert capsys.readouterr().err == \
             "error: unsupported format version 2 (byte offset 4)\n"
         assert not any(out.glob("*"))
+
+
+ANALYSIS_KEYS = ("roi_low_ev", "roi_high_ev", "error_mode", "n_on",
+                 "n_off_raw", "on_run_id", "on_current_a", "on_live_time_s",
+                 "off_live_time_s")
+
+# None drops the key; every other value replaces it
+_mutation_values = (st.sampled_from([None, "nan", "-1", "0", "1e400", ""])
+                    | st.text(st.characters(blacklist_categories=("Cs",)),
+                              max_size=12))
+
+
+class TestAnalysisFuzz:
+    @settings(max_examples=60, deadline=None)
+    @given(mutations=st.dictionaries(st.sampled_from(ANALYSIS_KEYS),
+                                     _mutation_values, min_size=1,
+                                     max_size=3))
+    def test_limit_on_mutated_analysis(self, mutations, small_cfg):
+        lines = []
+        for line in artifact_texts(small_cfg)["analysis.txt"].splitlines():
+            key = line.split(" = ")[0]
+            if key not in mutations:
+                lines.append(line)
+            elif mutations[key] is not None:
+                lines.append(f"{key} = {mutations[key]}")
+        err = io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "analysis.txt"
+            path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(err):
+                rc = cli.main(["limit", "--analysis", str(path),
+                               "--output-dir", tmp])
+            wrote = (Path(tmp) / "limit.txt").exists()
+        assert rc in (0, 1)
+        if rc == 0:
+            assert wrote and err.getvalue() == ""
+        else:
+            assert not wrote
+            assert err.getvalue().startswith("error:")
+            assert err.getvalue().count("\n") == 1
 
 
 class TestOutputDirPrecedence:

@@ -25,7 +25,7 @@ CONFIG_VALUED = (
     (limits.compute_limit, ("n_sigma", "bound_convention")),
     (limits.project_sensitivity, ("n_sigma",)),
     (limits.normalize_livetime, ("mode",)),
-    (limits.subtract, ("normalization_factor", "error_mode")),
+    (limits.subtract, ("error_mode",)),
 )
 
 
@@ -89,14 +89,33 @@ class TestOneSource:
                      if params[name].default is not inspect.Parameter.empty]
         assert defaulted == []
 
-    @pytest.mark.parametrize("argv, dests", [
-        (["analyze", "--on", "a.run", "--off", "b.run"], ("error_mode",)),
-        (["limit", "--analysis", "analysis.txt"],
-         ("nsigma", "bound_convention")),
-    ], ids=["analyze", "limit"])
-    def test_limit_flags_fall_back_to_config(self, argv, dests):
-        args = cli.build_parser().parse_args(argv)
-        assert [getattr(args, dest) for dest in dests] == [None] * len(dests)
+    def test_limit_conventions_come_from_config(self, tmp_path):
+        # limit has no flag for a [limit] key: the config alone picks the
+        # bound convention and n_sigma (analyze's error mode is checked in
+        # test_cli)
+        text = (config.default_config_text()
+                .replace("n_sigma = 3.0", "n_sigma = 2.0")
+                .replace("bound_convention = paper",
+                         "bound_convention = central-plus-nsigma"))
+        cfg_path = tmp_path / "conventions.cfg"
+        cfg_path.write_text(text)
+        cfg = config.load_config(cfg_path)
+        n_off_raw = limits.poisson_count(1796.0)
+        record = limits.AnalysisRecord(
+            subtraction=limits.subtract(
+                limits.poisson_count(2222.0), n_off_raw,
+                cfg.run_on.live_time_s, cfg.run_off.live_time_s,
+                cfg.limit.error_mode),
+            n_off_raw=n_off_raw, on_run=cfg.run_on,
+            off_live_time_s=cfg.run_off.live_time_s, roi=cfg.roi)
+        (tmp_path / "analysis.txt").write_text(
+            limits.render_analysis_report(record))
+        assert cli.main(["limit", "--analysis", str(tmp_path / "analysis.txt"),
+                         "--config", str(cfg_path),
+                         "--output-dir", str(tmp_path)]) == 0
+        report = (tmp_path / "limit.txt").read_text()
+        assert "n_sigma          = 2   (95.4% C.L.)" in report
+        assert "(central-plus-nsigma convention)" in report
 
 
 class TestStrictness:

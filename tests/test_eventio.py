@@ -55,7 +55,8 @@ class TestRoundTrip:
     def test_file_path_round_trip(self, tmp_path):
         ev = make_events(17)
         path = tmp_path / "run.run"
-        eventio.write_run(header_for(ev), ev, path)
+        with open(path, "wb") as fh:
+            eventio.write_run(header_for(ev), ev, fh)
         header, out = eventio.read_run(path)
         assert np.array_equal(out, ev)
         assert header.run_id == "test-run"
@@ -402,7 +403,8 @@ class TestSpectrumAlgebra:
     def test_export_format(self, tmp_path):
         spec = self._spec([5, 7, 9], 42.0, "runx")
         out = tmp_path / "spec.txt"
-        eventio.export_spectrum(spec, out)
+        with open(out, "wb") as fh:
+            eventio.export_spectrum(spec, fh)
         text = out.read_text()
         meta = [ln for ln in text.splitlines() if ln.startswith("#")]
         rows = [ln.split() for ln in text.splitlines()

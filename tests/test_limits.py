@@ -31,17 +31,21 @@ LIMIT = 3.0 * SIGMA_DELTA / DENOMINATOR
 
 # the published conventions, passed explicitly as the CLI passes the config's
 NAIVE = limits.ERROR_MODE_PAPER
+PROPAGATED = limits.ERROR_MODE_PROPAGATED
 PAPER = dict(n_sigma=3.0, bound_convention=limits.BOUND_PAPER)
 
 
 def reference_subtraction():
-    on = Measurement(N_ON, math.sqrt(N_ON))
-    off = limits.normalize_livetime(Measurement(N_OFF_RAW,
-                                                math.sqrt(N_OFF_RAW)),
-                                    OFF_LIVE_S, ON_LIVE_S, mode=NAIVE)
-    return limits.subtract(on, off,
-                           normalization_factor=ON_LIVE_S / OFF_LIVE_S,
-                           error_mode=NAIVE)
+    return limits.subtract(Measurement(N_ON, math.sqrt(N_ON)),
+                           Measurement(N_OFF_RAW, math.sqrt(N_OFF_RAW)),
+                           ON_LIVE_S, OFF_LIVE_S, error_mode=NAIVE)
+
+
+def reference_record(roi):
+    return limits.AnalysisRecord(
+        subtraction=reference_subtraction(),
+        n_off_raw=Measurement(N_OFF_RAW, math.sqrt(N_OFF_RAW)),
+        on_run=reference_run(), off_live_time_s=OFF_LIVE_S, roi=roi)
 
 
 def reference_run():
@@ -112,6 +116,17 @@ class TestCountRoi:
             limits.count_roi(spec, cfg.roi)
 
 
+class TestPoissonCount:
+    def test_sigma_is_sqrt(self):
+        assert limits.poisson_count(2222.0) == Measurement(
+            2222.0, math.sqrt(2222.0))
+        assert limits.poisson_count(0.0) == Measurement(0.0, 0.0)
+
+    def test_negative_count_rejected(self):
+        with pytest.raises(DomainError, match="non-negative"):
+            limits.poisson_count(-5.0)
+
+
 class TestNormalizeLivetime:
     def test_reference_normalization(self):
         got = limits.normalize_livetime(
@@ -161,23 +176,33 @@ class TestSubtract:
         assert sub.delta.value == pytest.approx(DELTA, rel=1e-12)
         assert sub.delta.uncertainty == pytest.approx(SIGMA_DELTA, rel=1e-12)
         assert str(sub.delta) == "41 +/- 66"
+        assert str(sub.n_off_normalized) == "2181 +/- 47"
+        assert sub.normalization_factor == ON_LIVE_S / OFF_LIVE_S
 
     def test_self_subtraction(self):
         m = Measurement(100.0, 10.0)
-        sub = limits.subtract(m, m, 1.0, NAIVE)
+        sub = limits.subtract(m, m, 3600.0, 3600.0, PROPAGATED)
         assert sub.delta.value == 0.0
         assert sub.delta.uncertainty == pytest.approx(10.0 * math.sqrt(2.0))
 
     def test_quadrature(self):
         sub = limits.subtract(Measurement(100.0, 10.0),
-                              Measurement(50.0, 5.0), 1.0, NAIVE)
+                              Measurement(50.0, 5.0), 3600.0, 3600.0,
+                              PROPAGATED)
         assert sub.delta.value == 50.0
         assert sub.delta.uncertainty == pytest.approx(math.sqrt(125.0))
 
     def test_bad_mode(self):
         m = Measurement(1.0, 1.0)
         with pytest.raises(DomainError):
-            limits.subtract(m, m, 1.0, "bogus")
+            limits.subtract(m, m, 1.0, 1.0, "bogus")
+
+    def test_bad_live_times(self):
+        m = Measurement(1.0, 1.0)
+        with pytest.raises(DomainError, match="source live time"):
+            limits.subtract(m, m, 100.0, 0.0, NAIVE)
+        with pytest.raises(DomainError, match="target live time"):
+            limits.subtract(m, m, -1.0, 100.0, NAIVE)
 
 
 class TestExposureFactors:
@@ -242,7 +267,7 @@ class TestComputeLimit:
 
     def test_central_convention_clamps(self, consts):
         sub = limits.subtract(Measurement(100.0, 10.0),
-                              Measurement(600.0, 10.0), 1.0, NAIVE)
+                              Measurement(600.0, 10.0), 1.0, 1.0, PROPAGATED)
         result = limits.compute_limit(
             sub, reference_run(), consts, EFFICIENCY,
             n_sigma=3.0, bound_convention=limits.BOUND_CENTRAL)
@@ -250,9 +275,9 @@ class TestComputeLimit:
 
     def test_paper_convention_ignores_central_value(self, consts):
         a = limits.subtract(Measurement(500.0, 66.0), Measurement(100.0, 0.0),
-                            1.0, NAIVE)
+                            1.0, 1.0, PROPAGATED)
         b = limits.subtract(Measurement(100.0, 66.0), Measurement(500.0, 0.0),
-                            1.0, NAIVE)
+                            1.0, 1.0, PROPAGATED)
         la = limits.compute_limit(a, reference_run(), consts,
                                   EFFICIENCY, **PAPER)
         lb = limits.compute_limit(b, reference_run(), consts,
@@ -261,11 +286,10 @@ class TestComputeLimit:
 
     def test_quadrupled_statistics_halves_bound(self, consts):
         k = 4.0
-        on = Measurement(k * N_ON, math.sqrt(k * N_ON))
-        off = limits.normalize_livetime(
+        sub = limits.subtract(
+            Measurement(k * N_ON, math.sqrt(k * N_ON)),
             Measurement(k * N_OFF_RAW, math.sqrt(k * N_OFF_RAW)),
-            k * OFF_LIVE_S, k * ON_LIVE_S, mode=NAIVE)
-        sub = limits.subtract(on, off, 1.0, NAIVE)
+            k * ON_LIVE_S, k * OFF_LIVE_S, NAIVE)
         run = RunMeta("on4", CURRENT_A, k * ON_LIVE_S, True)
         scaled = limits.compute_limit(sub, run, consts,
                                       EFFICIENCY, **PAPER)
@@ -387,31 +411,35 @@ class TestReports:
         assert "99.7% C.L." in text
 
     def test_analysis_report_round_trip(self, cfg):
-        record = limits.AnalysisRecord(
-            subtraction=reference_subtraction(),
-            n_off_raw=Measurement(N_OFF_RAW, math.sqrt(N_OFF_RAW)),
-            on_run=reference_run(),
-            off_live_time_s=OFF_LIVE_S,
-            roi=cfg.roi)
+        record = reference_record(cfg.roi)
         text = limits.render_analysis_report(record)
         back = limits.parse_analysis_report(text)
         assert back == record    # repr round trip is exact for floats
+
+    def test_analysis_report_holds_only_measured_values(self, cfg):
+        text = limits.render_analysis_report(reference_record(cfg.roi))
+        keys = [line.split(" = ")[0] for line in text.splitlines()[2:]]
+        assert keys == ["roi_low_ev", "roi_high_ev", "error_mode", "n_on",
+                        "n_off_raw", "on_run_id", "on_current_a",
+                        "on_live_time_s", "off_live_time_s"]
+
+    def test_parse_derives_the_subtraction(self, cfg):
+        # values written by an older analyze, or edited by hand, cannot
+        # contradict the counts: the subtraction is recomputed from them
+        text = limits.render_analysis_report(reference_record(cfg.roi))
+        text += "delta = 1000.0\ndelta_sigma = 1.0\nnormalization = 7.0\n"
+        back = limits.parse_analysis_report(text)
+        assert back.subtraction == reference_subtraction()
+        assert str(back.subtraction.delta) == "41 +/- 66"
 
     def test_parse_missing_key(self):
         with pytest.raises(DomainError):
             limits.parse_analysis_report("n_on = 5\n")
 
     def test_parse_malformed_number(self, cfg):
-        record = limits.AnalysisRecord(
-            subtraction=reference_subtraction(),
-            n_off_raw=Measurement(N_OFF_RAW, math.sqrt(N_OFF_RAW)),
-            on_run=reference_run(),
-            off_live_time_s=OFF_LIVE_S,
-            roi=cfg.roi)
-        text = limits.render_analysis_report(record)
+        text = limits.render_analysis_report(reference_record(cfg.roi))
         with pytest.raises(DomainError):
-            limits.parse_analysis_report(text.replace("repr", "repr")
-                                         .replace("delta = ", "delta = x"))
+            limits.parse_analysis_report(text.replace("n_on = ", "n_on = x"))
 
 
 class TestReproduceReference:

@@ -470,7 +470,8 @@ class TestMemoryBound:
         (header, events, _), _ = generated
         assert len(events) > 4 * eventio.CHUNK_RECORDS
         path = tmp_path / "run.run"
-        eventio.write_run(header, events, path)
+        with open(path, "wb") as fh:
+            eventio.write_run(header, events, fh)
 
         def count():
             _, back = eventio.read_run(path)
