@@ -1,18 +1,18 @@
 """Structured text configuration shared by every pipeline stage.
 
-The format is INI with dotted section names for nesting; every numeric
-key carries its unit as a suffix.  Loading is strict: unknown keys or
-sections, missing sections, and cross-section inconsistencies (for
-example an ROI edge off the bin grid) are all configuration errors.
-Degenerate detector layouts (zero plates, zero-area plates) are allowed
-so efficiency studies can express them.
+The format is INI with dotted section names.  Each section fills a
+dataclass whose fields name its keys, numeric ones with a unit suffix.
+Loading is strict: unknown keys or sections, missing sections, and
+cross-section inconsistencies (for example an ROI edge off the bin grid)
+are all configuration errors.  Degenerate detector layouts (zero plates,
+zero-area plates) are allowed so efficiency studies can express them.
 """
 
 from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from importlib import resources
 from pathlib import Path
 
@@ -23,6 +23,10 @@ from .limits import (BOUND_CONVENTIONS, ERROR_MODES, RoiDefinition)
 from .simulate import ContinuumModel, InjectionConfig, SourceModel
 
 DEFAULT_CONFIG_RESOURCE = "data/default.cfg"
+
+# a spectrum bins the 65536 channels of the 16-bit ADC; 2**20 bins, 16 per
+# channel, is more than it can use and keeps the counts at 8 MiB
+MAX_BINS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -36,6 +40,9 @@ class BinningConfig:
             raise ConfigError("binning range is empty or reversed")
         if self.bins < 1:
             raise ConfigError("binning needs at least one bin")
+        if self.bins > MAX_BINS:
+            raise ConfigError(f"[binning] bins = {self.bins} is more than "
+                              f"{MAX_BINS}, 16 per 16-bit ADC channel")
 
 
 @dataclass(frozen=True)
@@ -61,6 +68,11 @@ class LimitSettings:
 class EfficiencySettings:
     samples: int
     batch_size: int
+
+    def __post_init__(self):
+        if self.samples < 1 or self.batch_size < 1:
+            raise ConfigError("efficiency samples and batch_size must be "
+                              "positive")
 
 
 @dataclass(frozen=True)
@@ -94,19 +106,27 @@ def _read_parser(text: str, origin: str) -> configparser.ConfigParser:
     try:
         parser.read_string(text, source=origin)
     except configparser.Error as exc:
-        raise ConfigError(f"cannot parse {origin}: {exc}") from None
+        detail = " ".join(str(exc).split())     # one line, as every error
+        raise ConfigError(f"cannot parse {origin}: {detail}") from None
     return parser
 
 
-def _response(sec: Section) -> ResponseModel:
-    response = ResponseModel(
-        fwhm_at_reference_ev=sec.number("fwhm_at_reference_ev"),
-        reference_energy_ev=sec.number("reference_energy_ev"),
-        gain_ev_per_channel=sec.number("gain_ev_per_channel"),
-        offset_ev=sec.number("offset_ev"),
-        channel_count=sec.integer("channel_count"))
+# Section getter by field annotation (a string: annotations are postponed)
+_GETTERS = {"float": Section.number, "int": Section.integer,
+            "str": Section.text, "tuple[str, ...]": Section.labels,
+            "float | None": Section.optional_number}
+
+
+def _build(sec: Section, cls, **given):
+    """``cls`` read from its section: each field not in ``given`` is the
+    key of the same name, read by the getter its annotation picks.  The
+    section may hold no other key."""
+    for field in fields(cls):
+        if field.name not in given:
+            given[field.name] = _GETTERS[field.type](sec, field.name)
+    built = cls(**given)
     sec.finish()
-    return response
+    return built
 
 
 def _parse(parser: configparser.ConfigParser, origin: str) -> AnalysisConfig:
@@ -120,59 +140,32 @@ def _parse(parser: configparser.ConfigParser, origin: str) -> AnalysisConfig:
         consumed.add(name)
         return sections[name]
 
-    sec = take("constants")
-    constants = PhysicsConstants(
-        electron_charge_c=sec.number("electron_charge_c"),
-        electron_mean_free_path_cm=sec.number("electron_mean_free_path_cm"),
-        strip_length_cm=sec.number("strip_length_cm"),
-        cu_attenuation_length_cm=sec.number("cu_attenuation_length_cm"),
-        si_attenuation_length_cm=sec.number("si_attenuation_length_cm"),
-        sdd_thickness_cm=sec.number("sdd_thickness_cm"),
-        capture_fraction=sec.number("capture_fraction"))
-    sec.finish()
+    def build(name: str, cls, **given):
+        return _build(take(name), cls, **given)
 
-    response = _response(take("response"))
+    constants = build("constants", PhysicsConstants)
+    response = build("response", ResponseModel)
 
-    plates = []
+    plates: dict[int, DetectorPlate] = {}
     for name in sorted(n for n in sections if n.startswith("geometry.detector.")):
-        suffix = name.rsplit(".", 1)[-1]
         try:
-            det_id = int(suffix)
+            det_id = int(name.rsplit(".", 1)[-1])
         except ValueError:
             raise ConfigError(f"detector section [{name}] needs a numeric "
                               "id") from None
-        sec = take(name)
-        normal = sec.integer("normal_z")
-        plates.append(DetectorPlate(
-            det_id=det_id,
-            center_x_cm=sec.number("center_x_cm"),
-            center_y_cm=sec.number("center_y_cm"),
-            center_z_cm=sec.number("center_z_cm"),
-            width_x_cm=sec.number("width_x_cm"),
-            width_y_cm=sec.number("width_y_cm"),
-            normal_z=normal))
-        sec.finish()
-    ids = [p.det_id for p in plates]
-    if len(set(ids)) != len(ids):
-        raise ConfigError("duplicate detector ids in geometry")
+        if det_id in plates:
+            raise ConfigError("duplicate detector ids in geometry")
+        plates[det_id] = build(name, DetectorPlate, det_id=det_id)
 
-    sec = take("geometry")
-    geometry = GeometryConfig(
-        strip_length_cm=constants.strip_length_cm,
-        strip_width_cm=sec.number("strip_width_cm"),
-        strip_thickness_cm=sec.number("strip_thickness_cm"),
-        detectors=tuple(sorted(plates, key=lambda p: p.det_id)))
-    sec.finish()
+    geometry = build("geometry", GeometryConfig,
+                     strip_length_cm=constants.strip_length_cm,
+                     detectors=tuple(plates[i] for i in sorted(plates)))
 
     lines: dict[str, EmissionLine] = {}
     for name in sorted(n for n in sections
                        if n.startswith("line.") and n.count(".") == 1):
         label = name.split(".", 1)[1]
-        sec = take(name)
-        lines[label] = EmissionLine(
-            label=label, energy_ev=sec.number("energy_ev"),
-            relative_intensity=sec.number("relative_intensity"))
-        sec.finish()
+        lines[label] = build(name, EmissionLine, label=label)
     if "pep_forbidden" not in lines:
         raise ConfigError(f"{origin} is missing section [line.pep_forbidden]")
 
@@ -185,58 +178,25 @@ def _parse(parser: configparser.ConfigParser, origin: str) -> AnalysisConfig:
         source_lines.append((lines[label], sec.number("rate_hz")))
         sec.finish()
 
-    sec = take("source.continuum")
-    shape = sec.text("shape")
-    continuum = ContinuumModel(
-        shape=shape,
-        rate_hz=sec.number("rate_hz"),
-        low_ev=sec.number("low_ev"),
-        high_ev=sec.number("high_ev"),
-        scale_ev=sec.optional_number("scale_ev"))
-    sec.finish()
+    continuum = build("source.continuum", ContinuumModel)
 
-    sec = take("calibration")
-    calibration = CalibrationSettings(
-        anchors=sec.labels("anchors"),
-        crosschecks=sec.labels("crosschecks"),
-        residual_threshold_ev=sec.number("residual_threshold_ev"),
-        min_prominence=sec.number("min_prominence"),
-        window_halfwidth_sigmas=sec.number("window_halfwidth_sigmas"))
-    sec.finish()
+    calibration = build("calibration", CalibrationSettings)
     for label in calibration.anchors + calibration.crosschecks:
         if label not in lines:
             raise ConfigError(f"calibration refers to unknown line {label!r}")
     if len(calibration.anchors) < 2:
         raise ConfigError("calibration needs at least two anchor lines")
 
-    sec = take("source")
-    source = SourceModel(
-        lines=tuple(source_lines),
-        continuum=continuum,
-        calibration_rate_hz=sec.number("calibration_rate_hz"),
-        calibration_lines=tuple(
-            lines[label] for label in
-            calibration.anchors + calibration.crosschecks),
-        muon_rate_hz=sec.number("muon_rate_hz"),
-        veto_tag_probability=sec.number("veto_tag_probability"))
-    sec.finish()
+    source = build("source", SourceModel,
+                   lines=tuple(source_lines), continuum=continuum,
+                   calibration_lines=tuple(
+                       lines[label] for label in
+                       calibration.anchors + calibration.crosschecks))
+    injection = build("injection", InjectionConfig,
+                      line_energy_ev=lines["pep_forbidden"].energy_ev)
 
-    sec = take("injection")
-    injection = InjectionConfig(
-        line_energy_ev=lines["pep_forbidden"].energy_ev,
-        beta2_over_2=sec.number("beta2_over_2"))
-    sec.finish()
-
-    sec = take("roi")
-    roi = RoiDefinition(low_ev=sec.number("low_ev"),
-                        high_ev=sec.number("high_ev"))
-    sec.finish()
-
-    sec = take("binning")
-    binning = BinningConfig(low_ev=sec.number("low_ev"),
-                            high_ev=sec.number("high_ev"),
-                            bins=sec.integer("bins"))
-    sec.finish()
+    roi = build("roi", RoiDefinition)
+    binning = build("binning", BinningConfig)
     if roi.low_ev < binning.low_ev or roi.high_ev > binning.high_ev:
         raise ConfigError("ROI extends outside the binning range")
     width = (binning.high_ev - binning.low_ev) / binning.bins
@@ -247,33 +207,12 @@ def _parse(parser: configparser.ConfigParser, origin: str) -> AnalysisConfig:
             raise ConfigError(f"[roi] {key} = {edge} does not lie on a "
                               f"[binning] bin edge (bin width {width:g} eV)")
 
-    def parse_run(name: str, current_on: bool) -> RunMeta:
-        # the section says whether the current is on; an off-run has none
-        sec = take(name)
-        current_a = sec.number("current_a") if current_on else 0.0
-        run = RunMeta(run_id=sec.text("run_id"), current_a=current_a,
-                      live_time_s=sec.number("live_time_s"),
-                      current_on=current_on)
-        sec.finish()
-        return run
+    # the section says whether the current is on; an off-run has none
+    run_on = build("run.on", RunMeta, current_on=True)
+    run_off = build("run.off", RunMeta, current_on=False, current_a=0.0)
 
-    run_on = parse_run("run.on", True)
-    run_off = parse_run("run.off", False)
-
-    sec = take("limit")
-    limit = LimitSettings(n_sigma=sec.number("n_sigma"),
-                          error_mode=sec.text("error_mode"),
-                          bound_convention=sec.text("bound_convention"),
-                          efficiency=sec.number("efficiency"))
-    sec.finish()
-
-    sec = take("efficiency")
-    efficiency = EfficiencySettings(samples=sec.integer("samples"),
-                                    batch_size=sec.integer("batch_size"))
-    sec.finish()
-    if efficiency.samples < 1 or efficiency.batch_size < 1:
-        raise ConfigError("efficiency samples and batch_size must be "
-                          "positive")
+    limit = build("limit", LimitSettings)
+    efficiency = build("efficiency", EfficiencySettings)
 
     unknown = set(sections) - consumed
     if unknown:
@@ -329,4 +268,5 @@ def load_response_file(path: str | Path) -> ResponseModel:
     parser = _read_parser(read_text(path), str(path))
     if "response" not in parser.sections():
         raise ConfigError(f"{path} has no [response] section")
-    return _response(Section("[response]", dict(parser.items("response"))))
+    return _build(Section("[response]", dict(parser.items("response"))),
+                  ResponseModel)

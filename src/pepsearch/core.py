@@ -70,10 +70,14 @@ class Section:
     def integer(self, key: str) -> int:
         raw = self._raw(key)
         try:
-            return int(raw)
+            value = int(raw)
         except ValueError:
             raise ConfigError(
                 f"{self.label} {key} = {raw!r} is not an integer") from None
+        if not -2**63 <= value < 2**63:
+            raise ConfigError(f"{self.label} {key} = {raw!r} does not fit "
+                              "in a 64-bit integer")
+        return value
 
     def labels(self, key: str) -> tuple[str, ...]:
         return tuple(part.strip() for part in self._raw(key).split(",")

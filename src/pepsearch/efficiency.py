@@ -25,6 +25,10 @@ from .core import GeometryConfig, PhysicsConstants, Section
 from .errors import DomainError
 
 MIN_SAMPLES = 10_000
+# a batch takes about 150 B of working arrays per photon, so 2**22 photons
+# stay under 1 GiB; 2**16 batches bound the per-batch seeds and counts
+MAX_BATCH_SIZE = 1 << 22
+MAX_BATCHES = 1 << 16
 _EPS_T = 1e-12          # rejects hits at the emission point itself
 
 
@@ -141,6 +145,12 @@ def run_efficiency(geometry: GeometryConfig, consts: PhysicsConstants,
         raise DomainError(f"need at least {MIN_SAMPLES} samples")
     if batch_size <= 0 or workers <= 0:
         raise DomainError("batch_size and workers must be positive")
+    if batch_size > MAX_BATCH_SIZE:
+        raise DomainError(f"batch_size = {batch_size} is more than "
+                          f"{MAX_BATCH_SIZE} photons")
+    if samples > MAX_BATCHES * batch_size:
+        raise DomainError(f"samples = {samples} is more than {MAX_BATCHES} "
+                          f"batches of batch_size = {batch_size}")
     counts = [batch_size] * (samples // batch_size)
     if samples % batch_size:
         counts.append(samples % batch_size)

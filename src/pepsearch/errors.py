@@ -45,11 +45,11 @@ class UnsupportedVersionError(FormatError):
     """The header declares a format version this reader does not know."""
 
 
-class TruncatedFileError(FormatError):
-    """The byte stream ended before the declared content was complete.
+class RecordError(FormatError):
+    """A format violation located at one record.
 
-    ``record_index`` is the index of the first record that could not be
-    read in full, or ``None`` when the header itself was cut short.
+    ``record_index`` is the index of that record, or ``None`` when the
+    problem lies before the first record.
     """
 
     def __init__(self, message: str, offset: int | None = None,
@@ -58,10 +58,13 @@ class TruncatedFileError(FormatError):
         super().__init__(message, offset)
 
 
-class RecordInvariantError(FormatError):
-    """A decoded record violates an event-record invariant."""
+class TruncatedFileError(RecordError):
+    """The byte stream ended before the declared content was complete.
 
-    def __init__(self, message: str, offset: int | None = None,
-                 record_index: int | None = None):
-        self.record_index = record_index
-        super().__init__(message, offset)
+    ``record_index`` is the index of the first record that could not be
+    read in full, or ``None`` when the header itself was cut short.
+    """
+
+
+class RecordInvariantError(RecordError):
+    """A decoded record violates an event-record invariant."""

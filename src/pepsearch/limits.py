@@ -85,6 +85,12 @@ def poisson_count(n: float) -> Measurement:
     return Measurement(n, math.sqrt(n))
 
 
+def _check_error_mode(mode: str) -> str:
+    if mode not in ERROR_MODES:
+        raise DomainError(f"unknown error_mode {mode!r}")
+    return mode
+
+
 def normalize_livetime(count: Measurement, from_seconds: float,
                        to_seconds: float, mode: str) -> Measurement:
     """Scale a count to a different live time.
@@ -93,8 +99,7 @@ def normalize_livetime(count: Measurement, from_seconds: float,
     treatment behind the published 2181 +/- 47; propagated mode scales
     the input uncertainty by the same factor as the value.
     """
-    if mode not in ERROR_MODES:
-        raise DomainError(f"unknown error_mode {mode!r}")
+    _check_error_mode(mode)
     if from_seconds <= 0:
         raise DomainError("source live time must be positive")
     if to_seconds < 0:
@@ -325,22 +330,36 @@ def render_analysis_report(record: AnalysisRecord) -> str:
 
 def parse_analysis_report(text: str) -> AnalysisRecord:
     """Inverse of render_analysis_report; the counts get their Poisson
-    uncertainties and the subtraction is recomputed from them."""
+    uncertainties and the subtraction is recomputed from them.
+
+    A value out of its domain is an error that names the keys it was
+    built from, as ``analysis report n_on = -1.0: ...``."""
     sec = Section.from_text("analysis report", text)
-    n_off_raw = poisson_count(sec.number("n_off_raw"))
-    on_run = RunMeta(run_id=sec.text("on_run_id"),
-                     current_a=sec.number("on_current_a"),
-                     live_time_s=sec.number("on_live_time_s"),
-                     current_on=True)
+
+    def named(keys: list[str], make, *args, **kwargs):
+        try:
+            return make(*args, **kwargs)
+        except DomainError as exc:
+            given = ", ".join(f"{key} = {sec.text(key)}" for key in keys)
+            raise DomainError(f"{sec.label} {given}: {exc}") from None
+
+    n_on = named(["n_on"], poisson_count, sec.number("n_on"))
+    n_off_raw = named(["n_off_raw"], poisson_count, sec.number("n_off_raw"))
+    on_run = named(["on_current_a", "on_live_time_s"], RunMeta,
+                   run_id=sec.text("on_run_id"),
+                   current_a=sec.number("on_current_a"),
+                   live_time_s=sec.number("on_live_time_s"), current_on=True)
+    error_mode = named(["error_mode"], _check_error_mode,
+                       sec.text("error_mode"))
     off_live_time_s = sec.number("off_live_time_s")
-    sub = subtract(poisson_count(sec.number("n_on")), n_off_raw,
-                   on_run.live_time_s, off_live_time_s,
-                   sec.text("error_mode"))
-    return AnalysisRecord(
-        subtraction=sub, n_off_raw=n_off_raw, on_run=on_run,
-        off_live_time_s=off_live_time_s,
-        roi=RoiDefinition(low_ev=sec.number("roi_low_ev"),
-                          high_ev=sec.number("roi_high_ev")))
+    sub = named(["off_live_time_s"], subtract, n_on, n_off_raw,
+                on_run.live_time_s, off_live_time_s, error_mode)
+    roi = named(["roi_low_ev", "roi_high_ev"], RoiDefinition,
+                low_ev=sec.number("roi_low_ev"),
+                high_ev=sec.number("roi_high_ev"))
+    return AnalysisRecord(subtraction=sub, n_off_raw=n_off_raw,
+                          on_run=on_run, off_live_time_s=off_live_time_s,
+                          roi=roi)
 
 
 def render_projection_report(proj: ProjectionResult) -> str:

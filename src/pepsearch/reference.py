@@ -43,8 +43,8 @@ PUBLISHED_REFERENCE = {
 
 
 def check_reference_constants(cfg: AnalysisConfig) -> None:
-    """Raise with an explicit diff when the configured constants drift
-    from the published operating point."""
+    """Raise with an explicit diff, on one line, when the configured
+    constants drift from the published operating point."""
     diffs = []
     for name, want in PUBLISHED_CONSTANTS.items():
         got = getattr(cfg.constants, name)
@@ -53,8 +53,8 @@ def check_reference_constants(cfg: AnalysisConfig) -> None:
                          f"configured {got!r}")
     if diffs:
         raise DomainError(
-            "configuration deviates from the published operating point:\n  "
-            + "\n  ".join(diffs))
+            "configuration deviates from the published operating point: "
+            + "; ".join(diffs))
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,50 @@ def calibration_kwargs(cfg, **overrides):
         **overrides}
 
 
+def _key(line):
+    """The key of a ``key = value`` line, else None."""
+    key, sep, _ = line.partition("=")
+    if sep and key.strip() and not line.startswith(("#", "[")):
+        return key.strip()
+    return None
+
+
+def ini_keys(text):
+    """The (section, key) pairs of an INI text or a ``key = value``
+    artifact, in file order; an artifact's keys are in section None."""
+    pairs, section = [], None
+    for line in text.splitlines():
+        if line.startswith("["):
+            section = line.strip("[]")
+        elif _key(line):
+            pairs.append((section, _key(line)))
+    return pairs
+
+
+def edit_ini(text, edits):
+    """Text with ``edits[(section, key)]`` applied: ``None`` drops the key,
+    any other value replaces it, and a key the section lacks is added as
+    its first line."""
+    present = set(ini_keys(text))
+
+    def added(section):
+        return [f"{k} = {value}" for (sec, k), value in edits.items()
+                if sec == section and value is not None
+                and (sec, k) not in present]
+
+    lines, section = added(None), None
+    for line in text.splitlines():
+        target = (section, _key(line))
+        if line.startswith("["):
+            section = line.strip("[]")
+            lines += [line] + added(section)
+        elif target not in edits:
+            lines.append(line)
+        elif edits[target] is not None:
+            lines.append(f"{target[1]} = {edits[target]}")
+    return "\n".join(lines) + "\n"
+
+
 @pytest.fixture(scope="session")
 def cfg():
     return config_mod.load_default_config()

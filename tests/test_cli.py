@@ -15,8 +15,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import pepsearch
+from conftest import edit_ini, ini_keys
 from pepsearch import cli, config, limits, reference
 from pepsearch.efficiency import EfficiencyResult, render_efficiency_report
+from pepsearch.errors import DomainError
 from pepsearch.eventio import EVENT_DTYPE, _encode_header, read_run
 
 # 3 d on / 2 d off keeps full-source simulations fast while leaving
@@ -476,10 +478,22 @@ class TestExitCodes:
         assert not (tmp_path / "out" / artifact).exists()
 
     @pytest.mark.parametrize("key, value, match", [
-        ("n_off_raw", "-5.0", "count must be non-negative"),
-        ("n_on", "-1.0", "count must be non-negative"),
-        ("off_live_time_s", "0.0", "source live time must be positive"),
-    ], ids=["negative-count", "negative-on-count", "zero-off-live-time"])
+        ("n_off_raw", "-5.0",
+         "analysis report n_off_raw = -5.0: a count must be non-negative"),
+        ("n_on", "-1.0",
+         "analysis report n_on = -1.0: a count must be non-negative"),
+        ("off_live_time_s", "0.0", "analysis report off_live_time_s = 0.0: "
+                                   "source live time must be positive"),
+        ("on_live_time_s", "-1.0", "analysis report on_current_a = 100.0, "
+                                   "on_live_time_s = -1.0: live_time_s must "
+                                   "be non-negative"),
+        ("roi_low_ev", "9000.0", "analysis report roi_low_ev = 9000.0, "
+                                 "roi_high_ev = 7829.0: ROI low bound must "
+                                 "be below the high bound"),
+        ("error_mode", "bogus", "analysis report error_mode = bogus: "
+                                "unknown error_mode 'bogus'"),
+    ], ids=["negative-count", "negative-on-count", "zero-off-live-time",
+            "negative-on-live-time", "empty-roi", "unknown-error-mode"])
     def test_impossible_analysis_value(self, key, value, match, small_cfg,
                                        tmp_path, capsys):
         text = artifact_texts(small_cfg)["analysis.txt"]
@@ -504,6 +518,45 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             cli.main(argv.split() + ["--output-dir", str(tmp_path)])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("edits, argv, match", [
+        ({("binning", "bins"): "1" + "0" * 400}, "reproduce-paper",
+         "[binning] bins"),
+        ({("binning", "bins"): str(2**62)}, "reproduce-paper",
+         "[binning] bins"),
+        ({("efficiency", "samples"): str(10**30)}, "efficiency --seed 1",
+         "[efficiency] samples"),
+        ({}, f"efficiency --seed 1 --samples {10**30}", "samples"),
+    ], ids=["400-digit-bins", "2**62-bins", "1e30-samples-key",
+            "1e30-samples-flag"])
+    def test_oversized_integer(self, edits, argv, match, tmp_path, capsys):
+        path = tmp_path / "oversized.cfg"
+        path.write_text(edit_ini(config.default_config_text(), edits))
+        out = tmp_path / "out"
+        rc = cli.main(argv.split() + ["--config", str(path),
+                                      "--output-dir", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert match in err
+        assert not any(out.glob("*"))
+
+    @pytest.mark.parametrize("edits, match", [
+        ({("constants", "electron_charge_c"): "1.0",
+          ("constants", "capture_fraction"): "0.5"},
+         "constants.electron_charge_c: expected 1.602e-19, configured 1.0; "
+         "constants.capture_fraction"),
+        ({("roi", "low_ev"): "7629.0\nnot a key"}, "cannot parse"),
+    ], ids=["two-constants-off-the-reference", "line-without-a-key"])
+    def test_config_error_is_one_line(self, edits, match, tmp_path, capsys):
+        path = tmp_path / "bad.cfg"
+        path.write_text(edit_ini(config.default_config_text(), edits))
+        rc = cli.main(["reproduce-paper", "--config", str(path),
+                       "--output-dir", str(tmp_path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert match in err
 
     @pytest.mark.parametrize("leading", [True, False],
                              ids=["leading", "trailing"])
@@ -638,7 +691,8 @@ ANALYSIS_KEYS = ("roi_low_ev", "roi_high_ev", "error_mode", "n_on",
                  "off_live_time_s")
 
 # None drops the key; every other value replaces it
-_mutation_values = (st.sampled_from([None, "nan", "-1", "0", "1e400", ""])
+_mutation_values = (st.sampled_from([None, "nan", "-1", "0", "1e400",
+                                     "1" + "0" * 400, ""])
                     | st.text(st.characters(blacklist_categories=("Cs",)),
                               max_size=12))
 
@@ -672,6 +726,84 @@ class TestAnalysisFuzz:
             assert not wrote
             assert err.getvalue().startswith("error:")
             assert err.getvalue().count("\n") == 1
+
+
+def _with_unknown_key(keys):
+    """(section, key) pairs to mutate: the given keys, and a key named
+    "bogus" in each of their sections, which setting adds."""
+    return keys + [(section, "bogus")
+                   for section in dict.fromkeys(s for s, _ in keys)]
+
+
+CONFIG_TARGETS = _with_unknown_key(ini_keys(config.default_config_text()))
+RESPONSE_TEXT = ("[response]\ngain_ev_per_channel = 1.0\noffset_ev = 0.0\n"
+                 "fwhm_at_reference_ev = 200.0\n"
+                 "reference_energy_ev = 8040.0\nchannel_count = 16384\n")
+RESPONSE_TARGETS = _with_unknown_key(ini_keys(RESPONSE_TEXT))
+EFFICIENCY_TARGETS = _with_unknown_key(ini_keys(
+    artifact_texts(config.load_default_config())["efficiency.txt"]))
+
+
+def _edits(targets):
+    return st.dictionaries(st.sampled_from(targets), _mutation_values,
+                           min_size=1, max_size=3)
+
+
+def _main(argv):
+    """cli.main's exit code and stderr; it must end 0 with nothing on
+    stderr, or 1 or 2 with one error line."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        rc = cli.main(argv)
+    if rc == 0:
+        assert err.getvalue() == ""
+    else:
+        assert rc in (1, 2)
+        assert err.getvalue().startswith(("error:", "usage error:"))
+        assert err.getvalue().count("\n") == 1
+    return rc
+
+
+class TestTextInputFuzz:
+    """Mutated config, response.cfg and efficiency.txt texts: keys
+    dropped, unknown keys added, values out of range or garbage."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(command=st.sampled_from([["reproduce-paper"],
+                                    ["project", "--target", "1e-31"]]),
+           edits=_edits(CONFIG_TARGETS))
+    def test_config(self, command, edits):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "fuzz.cfg"
+            path.write_text(edit_ini(config.default_config_text(), edits),
+                            encoding="utf-8")
+            _main(command + ["--config", str(path), "--output-dir", tmp])
+
+    @settings(max_examples=40, deadline=None)
+    @given(edits=_edits(RESPONSE_TARGETS))
+    def test_response_file(self, edits):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "response.cfg"
+            path.write_text(edit_ini(RESPONSE_TEXT, edits), encoding="utf-8")
+            try:
+                config.load_response_file(path)
+            except DomainError as exc:
+                assert "\n" not in str(exc)
+
+    @settings(max_examples=40, deadline=None)
+    @given(edits=_edits(EFFICIENCY_TARGETS))
+    def test_efficiency_file(self, edits, small_cfg):
+        texts = artifact_texts(small_cfg)
+        with tempfile.TemporaryDirectory() as tmp:
+            for name, text in texts.items():
+                if name == "efficiency.txt":
+                    text = edit_ini(text, edits)
+                (Path(tmp) / name).write_text(text, encoding="utf-8")
+            rc = _main(["limit", "--analysis", f"{tmp}/analysis.txt",
+                        "--efficiency-file", f"{tmp}/efficiency.txt",
+                        "--output-dir", tmp])
+            assert (Path(tmp) / "limit.txt").exists() == (rc == 0)
 
 
 class TestOutputDirPrecedence:

@@ -2,8 +2,10 @@
 
 import dataclasses
 import inspect
+import re
 
 import pytest
+from conftest import edit_ini, ini_keys
 
 from pepsearch import (calibrate, cli, config, core, efficiency, limits,
                        reference, simulate)
@@ -27,6 +29,10 @@ CONFIG_VALUED = (
     (limits.normalize_livetime, ("mode",)),
     (limits.subtract, ("error_mode",)),
 )
+
+# every key and every section of default.cfg: each is part of the schema
+DEFAULT_KEYS = ini_keys(config.default_config_text())
+DEFAULT_SECTIONS = list(dict.fromkeys(s for s, _ in DEFAULT_KEYS))
 
 
 def mutated(old, new):
@@ -119,10 +125,12 @@ class TestOneSource:
 
 
 class TestStrictness:
-    def test_unknown_key(self):
-        text = mutated("capture_fraction = 0.1",
-                       "capture_fraction = 0.1\nbogus_key = 5")
-        with pytest.raises(ConfigError, match="bogus_key"):
+    @pytest.mark.parametrize("section", DEFAULT_SECTIONS)
+    def test_unknown_key(self, section):
+        text = edit_ini(config.default_config_text(),
+                        {(section, "bogus"): "1"})
+        with pytest.raises(ConfigError, match=re.escape(
+                f"[{section}] has unknown key(s): bogus")):
             config.load_config_text(text)
 
     def test_unknown_section(self):
@@ -130,9 +138,12 @@ class TestStrictness:
         with pytest.raises(ConfigError, match="mystery"):
             config.load_config_text(text)
 
-    def test_missing_key(self):
-        text = mutated("n_sigma = 3.0\nerror_mode", "error_mode")
-        with pytest.raises(ConfigError, match="n_sigma"):
+    @pytest.mark.parametrize("section, key", DEFAULT_KEYS,
+                             ids=[f"{s}-{k}" for s, k in DEFAULT_KEYS])
+    def test_missing_key(self, section, key):
+        text = edit_ini(config.default_config_text(), {(section, key): None})
+        with pytest.raises(ConfigError, match=re.escape(
+                f"[{section}] is missing key {key!r}")):
             config.load_config_text(text)
 
     def test_missing_section(self):
@@ -177,6 +188,16 @@ class TestStrictness:
         text = mutated(old, f"{old}\n{key}")
         with pytest.raises(ConfigError, match=rf"\[{section}\] has unknown "
                                               rf"key\(s\): {name}$"):
+            config.load_config_text(text)
+
+    @pytest.mark.parametrize("raw", [str(2**63), str(-2**63 - 1),
+                                     "1" + "0" * 400],
+                             ids=["2**63", "-2**63-1", "400-digit"])
+    def test_integer_outside_int64(self, raw):
+        text = mutated("samples = 1000000", f"samples = {raw}")
+        with pytest.raises(ConfigError,
+                           match=r"\[efficiency\] samples = .* does not fit "
+                                 "in a 64-bit integer"):
             config.load_config_text(text)
 
     @pytest.mark.parametrize("raw", ["nan", "inf", "-inf", "NaN"])
@@ -235,6 +256,14 @@ class TestCrossChecks:
         fine = config.load_config_text(mutated("bins = 10000",
                                                  "bins = 100000"))
         assert fine.binning.bins == 100000
+
+    @pytest.mark.parametrize("bins", [2**20 + 1, 2**62])
+    def test_bins_bounded(self, bins):
+        # 2**62 bins fit in 64 bits, but no histogram can hold them
+        text = mutated("bins = 10000", f"bins = {bins}")
+        with pytest.raises(ConfigError, match=rf"\[binning\] bins = {bins} "
+                                              r"is more than 1048576"):
+            config.load_config_text(text)
 
     def test_geometry_strip_length_is_the_constant(self):
         text = mutated("strip_length_cm = 10.0", "strip_length_cm = 12.0")

@@ -229,6 +229,16 @@ class TestRunEfficiency:
                                       seed=1,
                                       batch_size=cfg.efficiency.batch_size)
 
+    @pytest.mark.parametrize("samples, batch_size, match", [
+        (10**30, 262_144, f"samples = {10**30} is more than 65536 batches"),
+        (65_537, 1, "65537 is more than 65536 batches of batch_size = 1"),
+        (20_000, 2**22 + 1, "more than 4194304 photons"),
+    ], ids=["1e30-samples", "one-past-the-batches", "oversized-batch"])
+    def test_oversized_run_refused(self, cfg, samples, batch_size, match):
+        with pytest.raises(DomainError, match=match):
+            efficiency.run_efficiency(cfg.geometry, cfg.constants, samples,
+                                      seed=1, batch_size=batch_size)
+
     def test_no_detectors_zero(self, cfg):
         g = dataclasses.replace(cfg.geometry, detectors=())
         res = efficiency.run_efficiency(g, cfg.constants, 20_000, seed=1,
