@@ -55,8 +55,8 @@ class _UsageError(Exception):
 def _load_config(args) -> config_mod.AnalysisConfig:
     if args.config is None:
         return config_mod.load_default_config()
-    if not os.path.exists(args.config):
-        raise _UsageError(f"config file not found: {args.config}")
+    if not os.path.isfile(args.config):
+        raise _UsageError(f"config path {args.config} is not a file")
     return config_mod.load_config(args.config)
 
 
@@ -231,6 +231,14 @@ def cmd_reproduce(args, cfg, out: Path) -> int:
     return 0
 
 
+def non_negative_int(text: str) -> int:
+    """argparse type of --seed, as numpy takes seeds."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{value} is negative")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--config", metavar="FILE",
@@ -247,12 +255,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", parents=[shared],
                        help="generate a current-on/current-off campaign")
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=non_negative_int, required=True)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("efficiency", parents=[shared],
                        help="Monte Carlo detection efficiency")
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=non_negative_int, required=True)
     p.add_argument("--samples", type=int)
     p.add_argument("--workers", type=int, default=1,
                    help="worker processes for the Monte Carlo (default 1)")

@@ -222,8 +222,8 @@ class GeometryConfig:
 
     The strip is an axis-aligned box centred on the origin: length along x,
     width along y, thickness along z.  Zero extents and an empty detector
-    list are permitted for degenerate Monte Carlo studies; the config
-    loader enforces the stricter analysis-grade invariants.
+    list are permitted for degenerate Monte Carlo studies, and the config
+    loader accepts them too: it adds no geometry check of its own.
     """
 
     strip_length_cm: float
@@ -253,6 +253,12 @@ class RunMeta:
     current_on: bool
 
     def __post_init__(self):
+        # simulate names the run's files after it inside --output-dir, and
+        # analysis.txt holds it on one line
+        rid = self.run_id
+        if not rid or "/" in rid or "\\" in rid or not rid.isprintable():
+            raise DomainError(f"run_id {rid!r} must be a non-empty file name "
+                              "of printable characters without '/' or '\\'")
         if self.live_time_s < 0:
             raise DomainError("live_time_s must be non-negative")
         if self.current_a < 0:

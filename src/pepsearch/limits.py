@@ -345,7 +345,7 @@ def parse_analysis_report(text: str) -> AnalysisRecord:
 
     n_on = named(["n_on"], poisson_count, sec.number("n_on"))
     n_off_raw = named(["n_off_raw"], poisson_count, sec.number("n_off_raw"))
-    on_run = named(["on_current_a", "on_live_time_s"], RunMeta,
+    on_run = named(["on_run_id", "on_current_a", "on_live_time_s"], RunMeta,
                    run_id=sec.text("on_run_id"),
                    current_a=sec.number("on_current_a"),
                    live_time_s=sec.number("on_live_time_s"), current_on=True)

@@ -9,10 +9,11 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import pepsearch
 from conftest import edit_ini, ini_keys
@@ -378,12 +379,27 @@ class TestExitCodes:
             cli.main(["simulate"])
         assert exc.value.code == 2
 
-    def test_missing_config_file_is_usage_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize("argv", ["simulate --seed -1",
+                                      "efficiency --seed -1 --samples 10000"],
+                             ids=["simulate", "efficiency"])
+    def test_negative_seed_is_usage_error(self, argv, tmp_path, capsys):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv.split() + ["--output-dir", str(out)])
+        assert exc.value.code == 2
+        assert "argument --seed: -1 is negative" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name", ["absent.cfg", "."],
+                             ids=["missing", "directory"])
+    def test_missing_config_file_is_usage_error(self, name, tmp_path, capsys):
         rc = cli.main(["reproduce-paper", "--config",
-                       str(tmp_path / "absent.cfg"),
+                       str(tmp_path / name),
                        "--output-dir", str(tmp_path)])
         assert rc == 2
-        assert "usage error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "usage error" in err
+        assert err.endswith(" is not a file\n") and err.count("\n") == 1
 
     def test_workers_only_on_efficiency(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
@@ -484,16 +500,21 @@ class TestExitCodes:
          "analysis report n_on = -1.0: a count must be non-negative"),
         ("off_live_time_s", "0.0", "analysis report off_live_time_s = 0.0: "
                                    "source live time must be positive"),
-        ("on_live_time_s", "-1.0", "analysis report on_current_a = 100.0, "
-                                   "on_live_time_s = -1.0: live_time_s must "
-                                   "be non-negative"),
+        ("on_live_time_s", "-1.0", "analysis report on_run_id = on-100A-34d, "
+                                   "on_current_a = 100.0, on_live_time_s = "
+                                   "-1.0: live_time_s must be non-negative"),
+        ("on_run_id", "../x", "analysis report on_run_id = ../x, "
+                              "on_current_a = 100.0, on_live_time_s = "
+                              "259200.0: run_id '../x' must be a non-empty "
+                              "file name"),
         ("roi_low_ev", "9000.0", "analysis report roi_low_ev = 9000.0, "
                                  "roi_high_ev = 7829.0: ROI low bound must "
                                  "be below the high bound"),
         ("error_mode", "bogus", "analysis report error_mode = bogus: "
                                 "unknown error_mode 'bogus'"),
     ], ids=["negative-count", "negative-on-count", "zero-off-live-time",
-            "negative-on-live-time", "empty-roi", "unknown-error-mode"])
+            "negative-on-live-time", "run-id-path", "empty-roi",
+            "unknown-error-mode"])
     def test_impossible_analysis_value(self, key, value, match, small_cfg,
                                        tmp_path, capsys):
         text = artifact_texts(small_cfg)["analysis.txt"]
@@ -521,7 +542,8 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("edits, argv, match", [
         ({("binning", "bins"): "1" + "0" * 400}, "reproduce-paper",
-         "[binning] bins"),
+         f"error: [binning] bins = '1{'0' * 400}' does not fit in a 64-bit "
+         "integer\n"),
         ({("binning", "bins"): str(2**62)}, "reproduce-paper",
          "[binning] bins"),
         ({("efficiency", "samples"): str(10**30)}, "efficiency --seed 1",
@@ -617,6 +639,23 @@ class TestExitCodes:
             "error: run header current_ma = 5000000000 does not fit its "
             "u32 field\n")
         assert not any(out.glob("*.run"))
+
+    # simulate names its files after the run_id; an indented line continues
+    # the value above it in an INI file
+    @pytest.mark.parametrize("run_id", ["../escaped",
+                                        "on-100A-34d\n  ../../evil"],
+                             ids=["parent-path", "continuation-line"])
+    def test_run_id_outside_output_dir(self, run_id, tmp_path, capsys):
+        cfg_path = tmp_path / "escape.cfg"
+        cfg_path.write_text(small_config_text().replace(
+            "run_id = on-100A-34d", f"run_id = {run_id}"))
+        out = tmp_path / "a" / "b" / "out"
+        rc = cli.main(["simulate", "--seed", "1", "--config", str(cfg_path),
+                       "--output-dir", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: run_id ") and err.count("\n") == 1
+        assert [p.name for p in tmp_path.rglob("*")] == ["escape.cfg"]
 
     @pytest.mark.parametrize("live_time_s", ["1e20", "1e12"])
     def test_live_time_past_the_slice_bound(self, live_time_s, tmp_path):
@@ -804,6 +843,93 @@ class TestTextInputFuzz:
                         "--efficiency-file", f"{tmp}/efficiency.txt",
                         "--output-dir", tmp])
             assert (Path(tmp) / "limit.txt").exists() == (rc == 0)
+
+
+@pytest.fixture(scope="module")
+def chain_files(small_cfg_path, campaign_dir, tmp_path_factory):
+    """The small campaign's config, run files and the artifacts of its
+    chain, by file name."""
+    out = tmp_path_factory.mktemp("chain")
+    on, off = campaign_dir / "on-100A-34d.run", campaign_dir / "off-0A-28d.run"
+    for argv in (["calibrate", "--input", str(on)],
+                 ["analyze", "--on", str(on), "--off", str(off),
+                  "--calibration", str(out / "response.cfg")],
+                 ["efficiency", "--seed", "1", "--samples", "10000"]):
+        assert cli.main(argv + ["--config", str(small_cfg_path),
+                                "--output-dir", str(out)]) == 0
+    files = {p.name: p for d in (campaign_dir, out) for p in d.iterdir()}
+    return {**files, "small.cfg": small_cfg_path}
+
+
+# a path flag takes a file of the small chain or one of three bad paths,
+# made fresh for each example
+_BAD_PATHS = ["absent", "directory", "bytes"]
+_PATHS = st.sampled_from(["on-100A-34d.run", "off-0A-28d.run", "response.cfg",
+                          "analysis.txt", "efficiency.txt"] + _BAD_PATHS)
+_NUMBERS = st.one_of(*map(st.just, ["nan", "-1", "0", "1e400",
+                                     "1" + "0" * 400]),
+                     st.text(st.characters(blacklist_categories=("Cs",)),
+                             max_size=12))
+
+# the flags of each subcommand but --config and --output-dir, with the
+# values they take
+CLI_FLAGS = {
+    "simulate": {"--seed": _NUMBERS},
+    "efficiency": {"--seed": _NUMBERS,
+                   "--samples": st.sampled_from(["-1", "0", "10000",
+                                                 "1" + "0" * 400]),
+                   "--workers": st.sampled_from(["-1", "0", "1", "2"])},
+    "calibrate": {"--input": _PATHS},
+    "analyze": {"--on": _PATHS, "--off": _PATHS, "--calibration": _PATHS},
+    "limit": {"--analysis": _PATHS, "--efficiency-file": _PATHS},
+    "project": {"--target": _NUMBERS, "--analysis": _PATHS},
+    "reproduce-paper": {},
+}
+
+
+# true about 3 times in 4: a flag is left out, or an unknown one added, often
+# enough to be tested but seldom enough that most argvs reach the command
+_MOSTLY = st.sampled_from([True, True, True, False])
+
+
+@st.composite
+def _argvs(draw):
+    """One subcommand and a subset of its flags, sometimes with a flag it
+    does not know."""
+    command = draw(st.sampled_from(sorted(CLI_FLAGS)))
+    flags = {**CLI_FLAGS[command],
+             "--config": st.sampled_from(["small.cfg"] + _BAD_PATHS)}
+    argv = [command]
+    for flag, values in flags.items():
+        if draw(_MOSTLY):
+            argv += [flag, draw(values)]
+    if not draw(_MOSTLY):
+        argv += ["--unknown", draw(_NUMBERS)]
+    return argv
+
+
+class TestArgvFuzz:
+    # --seed -1 once ended in a traceback; the random argvs reach it in
+    # about one run of 60 examples in five, so it is pinned
+    @settings(max_examples=60, deadline=None)
+    @given(argv=_argvs(), blob=st.binary(max_size=64))
+    @example(argv=["simulate", "--seed", "-1"], blob=b"")
+    @example(argv=["efficiency", "--seed", "-1", "--samples", "10000"],
+             blob=b"")
+    def test_main(self, argv, blob, chain_files):
+        with tempfile.TemporaryDirectory() as tmp, \
+                mock.patch.dict(os.environ):
+            os.environ.pop(cli.OUTPUT_DIR_ENV, None)
+            paths = {**chain_files, "absent": Path(tmp) / "absent",
+                     "directory": Path(tmp) / "directory",
+                     "bytes": Path(tmp) / "bytes"}
+            paths["directory"].mkdir()
+            paths["bytes"].write_bytes(blob)
+            argv = [str(paths.get(arg, arg)) for arg in argv]
+            try:
+                _main(argv + ["--output-dir", str(Path(tmp) / "out")])
+            except SystemExit as exc:
+                assert exc.code == 2
 
 
 class TestOutputDirPrecedence:

@@ -150,3 +150,14 @@ class TestRunMeta:
             core.RunMeta("x", -1.0, 3600.0, current_on=True)
         meta = core.RunMeta("x", 0.0, 3600.0, current_on=False)
         assert not meta.current_on
+
+    # simulate writes <run_id>.run into --output-dir, so a run_id must name
+    # a file there; the message shows it by repr, on one line
+    @pytest.mark.parametrize("run_id", ["", "../escaped", "a\\b",
+                                        "on-100A-34d\n../../evil", "a\x00b",
+                                        "a\u2028b"])
+    def test_run_id_is_a_file_name(self, run_id):
+        with pytest.raises(DomainError) as excinfo:
+            core.RunMeta(run_id, 0.0, 3600.0, current_on=False)
+        assert str(excinfo.value).startswith(f"run_id {run_id!r} ")
+        assert len(str(excinfo.value).splitlines()) == 1
