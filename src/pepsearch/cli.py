@@ -1,11 +1,12 @@
 """Command-line pipeline front end.
 
 Every subcommand reads one shared config file, writes plain-text or
-binary artifacts into an output directory, and is deterministic for a
-given seed: artifacts carry no timestamps and stochastic stages draw
-from explicitly seeded generators.  Output files are written to a
-temporary name and renamed into place, so a crash never leaves a partial
-artifact behind.
+binary artifacts into ``--output-dir`` (default: the working directory),
+and is deterministic for a given seed: artifacts carry no timestamps and
+stochastic stages draw from explicitly seeded generators.  Output files
+are written to a temporary name and renamed into place, so a crash never
+leaves a partial artifact behind; the directory is made by the first
+write, so a command that fails before it leaves nothing.
 
 Exit codes: 0 success, 1 domain/validation error (one-line diagnostic on
 stderr), 2 usage error.
@@ -30,13 +31,12 @@ from .efficiency import (parse_efficiency_report, render_efficiency_report,
 from .errors import DomainError, FormatError
 from .eventio import export_spectrum, histogram, read_run, write_run
 
-OUTPUT_DIR_ENV = "PEPSEARCH_OUTPUT_DIR"
-
 
 @contextmanager
 def _atomic_write(path: Path):
     """Binary handle on a temp file beside ``path``, renamed onto it when
     the block succeeds and removed when it fails."""
+    path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
     try:
         with os.fdopen(fd, "wb") as fh:
@@ -58,17 +58,6 @@ def _load_config(args) -> config_mod.AnalysisConfig:
     if not os.path.isfile(args.config):
         raise _UsageError(f"config path {args.config} is not a file")
     return config_mod.load_config(args.config)
-
-
-def _output_dir(args) -> Path:
-    if args.output_dir is not None:
-        out = Path(args.output_dir)
-    elif os.environ.get(OUTPUT_DIR_ENV):
-        out = Path(os.environ[OUTPUT_DIR_ENV])
-    else:
-        out = Path(".")
-    out.mkdir(parents=True, exist_ok=True)
-    return out
 
 
 def _run_spectrum(path, response, bins: int, lo: float, hi: float):
@@ -243,9 +232,10 @@ def build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--config", metavar="FILE",
                         help="analysis config file (default: bundled)")
-    shared.add_argument("--output-dir", metavar="DIR",
-                        help="artifact directory (default: "
-                             f"${OUTPUT_DIR_ENV} or the working directory)")
+    shared.add_argument("--output-dir", metavar="DIR", type=Path,
+                        default=Path("."),
+                        help="artifact directory, made at the first write "
+                             "(default: the working directory)")
 
     parser = argparse.ArgumentParser(
         prog="pepsearch",
@@ -304,7 +294,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args, _load_config(args), _output_dir(args))
+        return args.func(args, _load_config(args), args.output_dir)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

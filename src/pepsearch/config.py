@@ -229,20 +229,20 @@ def _parse(parser: configparser.ConfigParser, origin: str) -> AnalysisConfig:
 def read_text(path: str | Path) -> str:
     """A text input of the pipeline: config, response file or artifact.
 
-    Bytes that are not UTF-8 are a ConfigError naming the file.
+    A path that cannot be read, or bytes that are not UTF-8, are a
+    ConfigError naming the file.
     """
     try:
         return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path} is not UTF-8 text (byte {exc.start})") \
             from None
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc.strerror}") from None
 
 
 def load_config(path: str | Path) -> AnalysisConfig:
     """Load and validate an analysis configuration file."""
-    path = Path(path)
-    if not path.is_file():
-        raise ConfigError(f"config file {path} does not exist")
     return _parse(_read_parser(read_text(path), str(path)), str(path))
 
 
@@ -262,9 +262,6 @@ def load_default_config() -> AnalysisConfig:
 
 def load_response_file(path: str | Path) -> ResponseModel:
     """Read a [response] section written by the calibration stage."""
-    path = Path(path)
-    if not path.is_file():
-        raise ConfigError(f"response file {path} does not exist")
     parser = _read_parser(read_text(path), str(path))
     if "response" not in parser.sections():
         raise ConfigError(f"{path} has no [response] section")

@@ -1,6 +1,7 @@
 """End-to-end checks of the command-line pipeline."""
 
 import contextlib
+import errno
 import hashlib
 import io
 import math
@@ -9,7 +10,6 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -451,7 +451,7 @@ class TestExitCodes:
         assert err.startswith("error:")
         assert "\n" not in err
         assert f"{section} {key} = " in err
-        assert not list(tmp_path.glob("out/*"))
+        assert not (tmp_path / "out").exists()
 
     def test_non_finite_artifact_value(self, small_cfg, tmp_path, capsys):
         text = artifact_texts(small_cfg)["analysis.txt"]
@@ -561,7 +561,7 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
         assert match in err
-        assert not any(out.glob("*"))
+        assert not out.exists()
 
     @pytest.mark.parametrize("edits, match", [
         ({("constants", "electron_charge_c"): "1.0",
@@ -610,7 +610,59 @@ class TestExitCodes:
         assert err.startswith("error:")
         assert "\n" not in err
         assert bad in err
-        assert not any((tmp_path / "out").glob("*.txt"))
+        assert not (tmp_path / "out").exists()
+
+    # every text input is read by config.read_text, the one place an
+    # unreadable path fails
+    @pytest.mark.parametrize("missing", [True, False],
+                             ids=["missing", "directory"])
+    @pytest.mark.parametrize("argv", [
+        "analyze --on {on} --off {off} --calibration {bad}",
+        "limit --analysis {bad}",
+        "limit --analysis analysis.txt --efficiency-file {bad}",
+        "project --target 1e-31 --analysis {bad}",
+    ], ids=["analyze-calibration", "limit-analysis", "limit-efficiency",
+            "project-analysis"])
+    def test_unreadable_text_input(self, argv, missing, small_cfg_path,
+                                   small_cfg, campaign_dir, tmp_path,
+                                   capsys, monkeypatch):
+        (tmp_path / "analysis.txt").write_text(
+            artifact_texts(small_cfg)["analysis.txt"])
+        bad = tmp_path / "bad"
+        if not missing:
+            bad.mkdir()
+        monkeypatch.chdir(tmp_path)
+        rc = cli.main(argv.format(on=campaign_dir / "on-100A-34d.run",
+                                  off=campaign_dir / "off-0A-28d.run",
+                                  bad=bad).split()
+                      + ["--config", str(small_cfg_path)])
+        assert rc == 1
+        reason = os.strerror(errno.ENOENT if missing else errno.EISDIR)
+        assert capsys.readouterr().err == \
+            f"error: cannot read {bad}: {reason}\n"
+
+    # the output directory is made by the first write, so a command that
+    # fails before it leaves none behind
+    @pytest.mark.parametrize("argv", [
+        "efficiency --seed 1 --samples -1",
+        "calibrate --input {tmp}/absent.run",
+        "analyze --on {on} --off {tmp}/absent.run",
+        "limit --analysis {tmp}",
+        "project --target -1",
+    ], ids=["efficiency-samples", "calibrate-input", "analyze-off",
+            "limit-analysis", "project-target"])
+    def test_failed_command_leaves_no_output_dir(self, argv, small_cfg_path,
+                                                 campaign_dir, tmp_path,
+                                                 capsys):
+        out = tmp_path / "out"
+        rc = cli.main(argv.format(tmp=tmp_path,
+                                  on=campaign_dir / "on-100A-34d.run").split()
+                      + ["--config", str(small_cfg_path),
+                         "--output-dir", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert not out.exists()
 
     def test_truncated_run_file(self, small_cfg_path, campaign_dir,
                                 tmp_path, capsys):
@@ -638,7 +690,7 @@ class TestExitCodes:
         assert capsys.readouterr().err == (
             "error: run header current_ma = 5000000000 does not fit its "
             "u32 field\n")
-        assert not any(out.glob("*.run"))
+        assert not out.exists()
 
     # simulate names its files after the run_id; an indented line continues
     # the value above it in an INI file
@@ -678,7 +730,7 @@ class TestExitCodes:
             f"error: run on-100A-34d: live_time_s = {float(live_time_s)} "
             "exceeds 5662310400 s, the 65536 one-day slices a run may "
             "span\n")
-        assert not any(out.glob("*.run"))
+        assert not out.exists()
 
     def test_out_of_memory(self, tmp_path):
         # 1e9 s is inside the slice bound but draws about 2.1e9 events,
@@ -697,7 +749,7 @@ class TestExitCodes:
         assert proc.returncode == 1
         assert proc.stderr.startswith("error: out of memory")
         assert proc.stderr.count("\n") == 1
-        assert not any(out.glob("*.run"))
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["calibrate", "analyze"])
     def test_version_2_run_file(self, command, small_cfg_path, campaign_dir,
@@ -722,7 +774,7 @@ class TestExitCodes:
         assert rc == 1
         assert capsys.readouterr().err == \
             "error: unsupported format version 2 (byte offset 4)\n"
-        assert not any(out.glob("*"))
+        assert not out.exists()
 
 
 ANALYSIS_KEYS = ("roi_low_ev", "roi_high_ev", "error_mode", "n_on",
@@ -917,9 +969,7 @@ class TestArgvFuzz:
     @example(argv=["efficiency", "--seed", "-1", "--samples", "10000"],
              blob=b"")
     def test_main(self, argv, blob, chain_files):
-        with tempfile.TemporaryDirectory() as tmp, \
-                mock.patch.dict(os.environ):
-            os.environ.pop(cli.OUTPUT_DIR_ENV, None)
+        with tempfile.TemporaryDirectory() as tmp:
             paths = {**chain_files, "absent": Path(tmp) / "absent",
                      "directory": Path(tmp) / "directory",
                      "bytes": Path(tmp) / "bytes"}
@@ -932,23 +982,18 @@ class TestArgvFuzz:
                 assert exc.code == 2
 
 
-class TestOutputDirPrecedence:
-    def test_flag_beats_environment(self, small_cfg_path, tmp_path,
-                                    monkeypatch):
+class TestOutputDir:
+    def test_flag_is_the_one_way_to_name_it(self, tmp_path, monkeypatch):
+        # artifacts go to --output-dir, made at the first write, else to
+        # the working directory; the environment names no directory
         env_dir = tmp_path / "from_env"
-        flag_dir = tmp_path / "from_flag"
-        monkeypatch.setenv(cli.OUTPUT_DIR_ENV, str(env_dir))
-        rc = cli.main(["reproduce-paper", "--output-dir", str(flag_dir)])
-        assert rc == 0
-        assert (flag_dir / "reproduction.txt").exists()
+        monkeypatch.setenv("PEPSEARCH_OUTPUT_DIR", str(env_dir))
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["reproduce-paper"]) == 0
+        assert (tmp_path / "reproduction.txt").exists()
+        assert cli.main(["reproduce-paper", "--output-dir", "a/b/c"]) == 0
+        assert (tmp_path / "a" / "b" / "c" / "reproduction.txt").exists()
         assert not env_dir.exists()
-
-    def test_environment_used_without_flag(self, tmp_path, monkeypatch):
-        env_dir = tmp_path / "from_env"
-        monkeypatch.setenv(cli.OUTPUT_DIR_ENV, str(env_dir))
-        rc = cli.main(["reproduce-paper"])
-        assert rc == 0
-        assert (env_dir / "reproduction.txt").exists()
 
 
 # runs `python -m pepsearch.cli` with its address space capped at 3e6 KiB,

@@ -1,7 +1,9 @@
 """Strict configuration loading: defaults, cross-checks, error paths."""
 
 import dataclasses
+import errno
 import inspect
+import os
 import re
 
 import pytest
@@ -42,6 +44,22 @@ def mutated(old, new):
     return text.replace(old, new)
 
 
+def unreadable_inputs(tmp_path):
+    """A missing path, a directory and a file of non-UTF-8 bytes, each
+    with the pattern of the one error line it must give."""
+    absent, directory, latin = (tmp_path / "absent.cfg", tmp_path / "dir",
+                                tmp_path / "latin.cfg")
+    directory.mkdir()
+    latin.write_bytes("[response]\n# Übersicht\n".encode("latin-1"))
+    return [
+        (absent, re.escape(f"cannot read {absent}: "
+                           f"{os.strerror(errno.ENOENT)}") + "$"),
+        (directory, re.escape(f"cannot read {directory}: "
+                              f"{os.strerror(errno.EISDIR)}") + "$"),
+        (latin, re.escape(f"{latin} is not UTF-8 text (byte 13)") + "$"),
+    ]
+
+
 class TestDefaults:
     def test_matches_published_operating_point(self, cfg):
         reference.check_reference_constants(cfg)
@@ -71,8 +89,9 @@ class TestDefaults:
         assert config.load_config(path) == cfg
 
     def test_missing_file(self, tmp_path):
-        with pytest.raises(ConfigError):
-            config.load_config(tmp_path / "absent.cfg")
+        for path, match in unreadable_inputs(tmp_path):
+            with pytest.raises(ConfigError, match=match):
+                config.load_config(path)
 
 
 class TestOneSource:
@@ -316,9 +335,12 @@ class TestCrossChecks:
 
 
 class TestResponseFile:
+    # perfbench's chain checks catch ConfigError around this read: any
+    # other error type there would end the benchmark run
     def test_missing_file(self, tmp_path):
-        with pytest.raises(ConfigError):
-            config.load_response_file(tmp_path / "absent.cfg")
+        for path, match in unreadable_inputs(tmp_path):
+            with pytest.raises(ConfigError, match=match):
+                config.load_response_file(path)
 
     def test_missing_section(self, tmp_path):
         path = tmp_path / "bad.cfg"
