@@ -6,7 +6,8 @@ and is deterministic for a given seed: artifacts carry no timestamps and
 stochastic stages draw from explicitly seeded generators.  Output files
 are written to a temporary name and renamed into place, so a crash never
 leaves a partial artifact behind; the directory is made by the first
-write, so a command that fails before it leaves nothing.
+write, so a command that fails before it leaves nothing, and a file in
+its way is a usage error before any work.
 
 Exit codes: 0 success, 1 domain/validation error (one-line diagnostic on
 stderr), 2 usage error.
@@ -35,11 +36,15 @@ from .eventio import export_spectrum, histogram, read_run, write_run
 @contextmanager
 def _atomic_write(path: Path):
     """Binary handle on a temp file beside ``path``, renamed onto it when
-    the block succeeds and removed when it fails."""
+    the block succeeds and removed when it fails.  The file gets the mode
+    a plain ``open()`` would give it, not mkstemp's 0600."""
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
     try:
         with os.fdopen(fd, "wb") as fh:
+            umask = os.umask(0)     # reading the umask sets it; restore
+            os.umask(umask)
+            os.fchmod(fd, 0o666 & ~umask)
             yield fh
         os.replace(tmp, path)
     except BaseException:
@@ -58,6 +63,17 @@ def _load_config(args) -> config_mod.AnalysisConfig:
     if not os.path.isfile(args.config):
         raise _UsageError(f"config path {args.config} is not a file")
     return config_mod.load_config(args.config)
+
+
+def _check_output_dir(path: Path) -> None:
+    """Refuse, before any work, an output directory that no write can
+    make: its nearest existing ancestor must be a directory."""
+    for ancestor in (path, *path.parents):
+        if ancestor.exists():
+            if not ancestor.is_dir():
+                raise _UsageError(f"output directory {path}: {ancestor} is "
+                                  "not a directory")
+            return
 
 
 def _run_spectrum(path, response, bins: int, lo: float, hi: float):
@@ -294,6 +310,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_output_dir(args.output_dir)
         return args.func(args, _load_config(args), args.output_dir)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

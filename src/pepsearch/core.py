@@ -17,8 +17,6 @@ from .errors import ConfigError, DomainError
 # Gaussian FWHM = 2 sqrt(2 ln 2) sigma
 FWHM_OVER_SIGMA = 2.0 * math.sqrt(2.0 * math.log(2.0))
 
-SDD_COUNT = 6
-
 
 class Section:
     """Named ``key = value`` strings with typed getters and consumed-key

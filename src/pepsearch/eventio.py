@@ -4,31 +4,31 @@ File layout (all integers little-endian, fixed width, no padding):
 
     header:
         magic            4 bytes, b"VIP2"
-        format_version   u16        3; version-1 files (80-byte records
-                                    with 32 QDC charges) and version-2
-                                    files (16-byte records with an i32
-                                    sdd_timing_ns) are rejected
+        format_version   u16        4; version-1 files (80-byte records
+                                    with 32 QDC charges), version-2 files
+                                    (16-byte records with an i32
+                                    sdd_timing_ns) and version-3 files
+                                    (12-byte records with a u8 detector
+                                    number) are rejected
         run_id_len       u16
         run_id           run_id_len bytes, UTF-8
         current_ma       u32        applied DC current in milliamperes
         live_time_s      u64        live time in whole seconds
         current_on       u8         0 or 1
         event_count      u64
-    records, event_count times, 12 bytes each:
+    records, event_count times, 11 bytes each:
         timestamp_ns     u64        non-decreasing within one file
         trigger_flags    u8         bit0 SDD self-trigger, bit1 veto inner,
                                     bit2 veto outer
-        sdd_id           u8         0..5, or 255 for veto-only records
         adc              u16        raw amplitude channel
 
-A record has sdd_id == 255 exactly when bit0 of trigger_flags is clear.
 The veto decision the analysis cut needs is in trigger_flags; no
-scintillator charges and no SDD timing are stored, since neither the cut
-nor the record checks read them.  The writer always writes
-FORMAT_VERSION, and the reader accepts only that version.
+detector number, scintillator charges or SDD timing are stored, since
+the cut reads none of them and all SDDs share one response.  The writer
+always writes FORMAT_VERSION, and the reader accepts only that version.
 
 Memory: ``read_run`` reads a file into one buffer and returns a view of
-it, so a reader holds one copy of the records (12 bytes per event);
+it, so a reader holds one copy of the records (11 bytes per event);
 ``write_run`` writes from the caller's array and copies it only when it
 is not contiguous.  ``validate_records`` and ``histogram`` go through the
 records CHUNK_RECORDS at a time, so their masks and the kept channels
@@ -45,28 +45,26 @@ from typing import BinaryIO
 
 import numpy as np
 
-from .core import SDD_COUNT, ResponseModel, RunMeta
+from .core import ResponseModel, RunMeta
 from .errors import (BadMagicError, DomainError, FormatError,
                      RecordInvariantError, TruncatedFileError,
                      UnsupportedVersionError)
 
 MAGIC = b"VIP2"
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 TRIGGER_SDD = 0x01
 TRIGGER_VETO_INNER = 0x02
 TRIGGER_VETO_OUTER = 0x04
 VETO_COINCIDENCE = TRIGGER_VETO_INNER | TRIGGER_VETO_OUTER
-VETO_ONLY_SDD_ID = 255
 
 EVENT_DTYPE = np.dtype([
     ("timestamp_ns", "<u8"),
     ("trigger_flags", "u1"),
-    ("sdd_id", "u1"),
     ("adc", "<u2"),
 ])
 RECORD_SIZE = EVENT_DTYPE.itemsize
-CHUNK_RECORDS = 1 << 18     # records checked or counted at a time (3 MiB)
+CHUNK_RECORDS = 1 << 18     # records checked or counted at a time (2.75 MiB)
 
 _HEAD_FIXED = struct.Struct("<4sHH")          # magic, version, run_id_len
 _HEAD_TAIL = struct.Struct("<IQBQ")           # current_ma, live_time_s, on, count
@@ -105,28 +103,12 @@ class RunHeader:
 
 
 def validate_records(events: np.ndarray, base_offset: int = 0) -> None:
-    """Raise RecordInvariantError on the first record breaking an invariant.
+    """Raise RecordInvariantError at the first timestamp that decreases.
 
-    The sdd_id/self-trigger invariant is checked over all records before
-    the timestamp order, each in chunks of CHUNK_RECORDS records, so the
-    masks stay small whatever the size of the run.
+    The order is checked in chunks of CHUNK_RECORDS records, so the masks
+    stay small whatever the size of the run.
     """
     n = len(events)
-    for start in range(0, n, CHUNK_RECORDS):
-        chunk = events[start:start + CHUNK_RECORDS]
-        sdd = chunk["sdd_id"]
-        flags = chunk["trigger_flags"]
-        bad_id = ~((sdd < SDD_COUNT) | (sdd == VETO_ONLY_SDD_ID))
-        veto_only = (flags & TRIGGER_SDD) == 0
-        bad = bad_id | (veto_only != (sdd == VETO_ONLY_SDD_ID))
-        if bad.any():
-            j = int(np.argmax(bad))
-            i = start + j
-            raise RecordInvariantError(
-                f"record {i}: sdd_id={int(sdd[j])} "
-                f"trigger_flags={int(flags[j]):#04x} "
-                "violate the sdd_id/self-trigger invariant",
-                offset=base_offset + i * RECORD_SIZE, record_index=i)
     ts = events["timestamp_ns"]
     for start in range(0, n, CHUNK_RECORDS):
         # a chunk's first record is compared with the last of the chunk
@@ -177,12 +159,17 @@ def read_run(source: bytes | str | Path) -> tuple[RunHeader, np.ndarray]:
 
     Returns the header and the full, writable record array, a view of
     the one buffer the file is read into.  Raises a FormatError subclass
-    naming the failing byte offset on any structural problem.
+    naming the failing byte offset on any structural problem, and a
+    FormatError ``cannot read PATH: reason`` when the path cannot be read.
     """
     if isinstance(source, (str, Path)):
-        with open(source, "rb") as fh:
-            data = bytearray(os.fstat(fh.fileno()).st_size)
-            del data[fh.readinto(data):]
+        try:
+            with open(source, "rb") as fh:
+                data = bytearray(os.fstat(fh.fileno()).st_size)
+                del data[fh.readinto(data):]
+        except OSError as exc:
+            raise FormatError(f"cannot read {source}: {exc.strerror}") \
+                from None
     else:
         data = bytearray(source)
 
@@ -322,7 +309,6 @@ def export_spectrum(spec: Spectrum, destination: BinaryIO) -> None:
         f"# range: {spec.lo} {spec.hi}",
         f"# bins: {spec.nbins}",
         f"# live_time_s: {spec.live_time_s}",
-        f"# detectors: {','.join(str(d) for d in range(SDD_COUNT))}",
         f"# run_ids: {','.join(spec.run_ids)}",
         f"# underflow: {spec.underflow}",
         f"# overflow: {spec.overflow}",

@@ -12,10 +12,10 @@ equal time slices, and a longer run than MAX_SLICES slices is refused
 before any is built.  A component's stream draws its Poisson total
 first, then one multinomial split of it over the slices.  Slice s of the
 component draws from child s of that stream: energies, times (uniform
-in the slice, sorted), normals, detector, then, for the muons alone, an
-SDD timing draw that is discarded and the veto tags.  Each slice merges
-its components, concatenated in the order above, with a stable sort, so
-a timestamp tie keeps that order; the run is the slices in turn.
+in the slice, sorted), normals, then, for the muons alone, the veto
+tags.  Each slice merges its components, concatenated in the order
+above, with a stable sort, so a timestamp tie keeps that order; the run
+is the slices in turn.
 Campaigns derive per-run seeds as children of the campaign seed
 (0 = current-on, 1 = current-off).
 
@@ -34,8 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (SDD_COUNT, EmissionLine, PhysicsConstants, ResponseModel,
-                   RunMeta)
+from .core import EmissionLine, PhysicsConstants, ResponseModel, RunMeta
 from .errors import DomainError
 from .eventio import EVENT_DTYPE, RunHeader, TRIGGER_SDD, VETO_COINCIDENCE
 from .limits import RoiDefinition, compute_n_int, compute_n_new
@@ -43,7 +42,6 @@ from .limits import RoiDefinition, compute_n_int, compute_n_new
 CONTINUUM_FLAT = "flat"
 CONTINUUM_EXPONENTIAL = "exponential"
 
-_TIMING_JITTER_NS = 500
 SLICE_S = 86400.0       # a run is generated in slices of at most one day
 # about 179 years; each slice costs a column of counts and a seed
 # sequence per component before the first record is made
@@ -185,7 +183,6 @@ def _photon_records(rng: np.random.Generator, t0_s: float, t1_s: float,
     out["adc"] = channels
     del channels
     out["trigger_flags"] = TRIGGER_SDD
-    out["sdd_id"] = rng.integers(0, SDD_COUNT, n)
     return low, high
 
 
@@ -263,12 +260,6 @@ def simulate_run(source: SourceModel, inj: InjectionConfig,
             clamped_low += lo
             clamped_high += hi
             if tag_p > 0:
-                # records carry no SDD timing, but its draw stays here
-                # so the tags keep their place in the slice stream; in
-                # every other component it was the stream's last draw,
-                # so dropping it there changes no event
-                rng.integers(-_TIMING_JITTER_NS, _TIMING_JITTER_NS + 1,
-                             len(out), dtype=np.int32)
                 tagged = rng.random(len(out)) < tag_p
                 out["trigger_flags"][tagged] |= VETO_COINCIDENCE
         # the components are each in time order; a stable sort merges

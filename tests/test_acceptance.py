@@ -212,8 +212,6 @@ class TestCriterion7:
                                  TRIGGER_VETO_INNER | TRIGGER_VETO_OUTER],
                                 n).astype(np.uint8)
         events["trigger_flags"] = np.where(veto_only, veto_flags, sdd_flags)
-        events["sdd_id"] = np.where(veto_only, eventio.VETO_ONLY_SDD_ID,
-                                    rng.integers(0, 6, n)).astype(np.uint8)
         events["adc"] = rng.integers(0, 16384, n)
         return events
 

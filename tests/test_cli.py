@@ -35,21 +35,21 @@ OFF_SMALL_S = 172_800
 # whose rounding may differ between numpy builds.
 PINNED_SHA256 = {
     "on-100A-34d.run":
-        "f8dd3f4ee75b28ef7aade56288790ae1c18bd477de4cd55124a4307bf85dcfdd",
+        "986d55dc938835dc0cc131dd21d4922f33d707989bd902b1ae8aeace59781dd8",
     "off-0A-28d.run":
-        "18b35170b201110817af9dc3c528cdf01bba87bbb408bcda2245e1bb96a7cea4",
+        "d228584f7a16929715ed2aa64b9bbc5748469a57540d337113bf0f4548ff92b8",
     "on-100A-34d_generation.txt":
         "ef34e6a5678fd6e0e8c72ec8d7c7462e647cb39d1afb67d1506d6bc0d68c028f",
     "off-0A-28d_generation.txt":
         "344319da767b30f9cc2755bb5044685fc143ed6b1a54d9ec1fdc22a243b9ccd5",
     "spectrum_on.txt":
-        "ce2b3bd30323117152cfaf11ec2df34c7576fbcb1c0ba4bd9ccc771d0d66c7b5",
+        "7eaa7a33c93945425e0c7f70753795694676bf50b55201b75a62a9071baa2bd1",
     "spectrum_off.txt":
-        "ad515c2b6295ca10a01d1315600537cfc955e9f61e9fb78aa56bb0817b48962e",
+        "ab6b7e4ab5743cda0ab2b3b913947bbf727a13d24d1db336582f5d56a7373222",
     "analysis.txt":
-        "03f562235a0eb0f906f145fc8e542b797b2065ac3f5e2cfe1e5d6236a3ced7d8",
+        "5e60d3e5844b23f5f73db54e644cbcad207ca9b43bc9bfb6a08cc675202c4432",
     "limit.txt":
-        "1ab06f7857db1bd778a991f116b1be6367181bf827bfa195ef0e4ba098fac65c",
+        "796ff9e841f164699ce9cc9d55595adb44e4f113befdcf33231b60dd857693c1",
 }
 
 # sha256 of the artifacts computed from the published operating point
@@ -59,6 +59,16 @@ PINNED_REFERENCE_SHA256 = {
         "71535936465ae966bf8b659867d923a0fd8112b521d1a8243cc8393a2d433191",
     "projection.txt":
         "53162c0c081fa4cc9826ab82e954849111df1268d172e832503290d87051b757",
+}
+
+# the record layouts of the run-file versions that the reader refuses:
+# version 2 ended in an i32 sdd_timing_ns, version 3 carried a u8 sdd_id
+OLD_RECORD_LAYOUTS = {
+    2: np.dtype([("timestamp_ns", "<u8"), ("trigger_flags", "u1"),
+                 ("sdd_id", "u1"), ("adc", "<u2"),
+                 ("sdd_timing_ns", "<i4")]),
+    3: np.dtype([("timestamp_ns", "<u8"), ("trigger_flags", "u1"),
+                 ("sdd_id", "u1"), ("adc", "<u2")]),
 }
 
 
@@ -641,6 +651,31 @@ class TestExitCodes:
         assert capsys.readouterr().err == \
             f"error: cannot read {bad}: {reason}\n"
 
+    # read_run names an unreadable run file as read_text names a text input
+    @pytest.mark.parametrize("missing", [True, False],
+                             ids=["missing", "directory"])
+    @pytest.mark.parametrize("argv", [
+        "calibrate --input {bad}",
+        "analyze --on {bad} --off {off}",
+        "analyze --on {on} --off {bad}",
+    ], ids=["calibrate-input", "analyze-on", "analyze-off"])
+    def test_unreadable_run_file(self, argv, missing, small_cfg_path,
+                                 campaign_dir, tmp_path, capsys):
+        bad = tmp_path / "bad.run"
+        if not missing:
+            bad.mkdir()
+        out = tmp_path / "out"
+        rc = cli.main(argv.format(on=campaign_dir / "on-100A-34d.run",
+                                  off=campaign_dir / "off-0A-28d.run",
+                                  bad=bad).split()
+                      + ["--config", str(small_cfg_path),
+                         "--output-dir", str(out)])
+        assert rc == 1
+        reason = os.strerror(errno.ENOENT if missing else errno.EISDIR)
+        assert capsys.readouterr().err == \
+            f"error: cannot read {bad}: {reason}\n"
+        assert not out.exists()
+
     # the output directory is made by the first write, so a command that
     # fails before it leaves none behind
     @pytest.mark.parametrize("argv", [
@@ -734,7 +769,7 @@ class TestExitCodes:
 
     def test_out_of_memory(self, tmp_path):
         # 1e9 s is inside the slice bound but draws about 2.1e9 events,
-        # whose 23 GiB record array cannot be had under a 3e6 KiB
+        # whose 21 GiB record array cannot be had under a 3e6 KiB
         # address-space limit
         cfg_path = tmp_path / "long.cfg"
         cfg_path.write_text(small_config_text().replace(
@@ -752,19 +787,18 @@ class TestExitCodes:
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["calibrate", "analyze"])
-    def test_version_2_run_file(self, command, small_cfg_path, campaign_dir,
-                                tmp_path, capsys):
-        # the on-run rewritten as format version 2: 16-byte records that
-        # end in an i32 sdd_timing_ns
+    @pytest.mark.parametrize("version", [2, 3], ids=["v2", "v3"])
+    def test_old_version_run_file(self, version, command, small_cfg_path,
+                                  campaign_dir, tmp_path, capsys):
+        # the on-run rewritten in its old record layout
         header, events = read_run(campaign_dir / "on-100A-34d.run")
-        v2 = np.zeros(len(events), np.dtype(EVENT_DTYPE.descr
-                                            + [("sdd_timing_ns", "<i4")]))
+        old_records = np.zeros(len(events), OLD_RECORD_LAYOUTS[version])
         for name in EVENT_DTYPE.names:
-            v2[name] = events[name]
+            old_records[name] = events[name]
         head = bytearray(_encode_header(header))
-        head[4:6] = (2).to_bytes(2, "little")
-        old = tmp_path / "v2.run"
-        old.write_bytes(bytes(head) + v2.tobytes())
+        head[4:6] = version.to_bytes(2, "little")
+        old = tmp_path / f"v{version}.run"
+        old.write_bytes(bytes(head) + old_records.tobytes())
         argv = {"calibrate": ["calibrate", "--input", str(old)],
                 "analyze": ["analyze", "--on", str(old), "--off",
                             str(campaign_dir / "off-0A-28d.run")]}[command]
@@ -773,7 +807,7 @@ class TestExitCodes:
                               "--output-dir", str(out)])
         assert rc == 1
         assert capsys.readouterr().err == \
-            "error: unsupported format version 2 (byte offset 4)\n"
+            f"error: unsupported format version {version} (byte offset 4)\n"
         assert not out.exists()
 
 
@@ -994,6 +1028,45 @@ class TestOutputDir:
         assert cli.main(["reproduce-paper", "--output-dir", "a/b/c"]) == 0
         assert (tmp_path / "a" / "b" / "c" / "reproduction.txt").exists()
         assert not env_dir.exists()
+
+    # a file where the directory or one of its parents would go is a
+    # usage error before any work, not an OSError at the first write
+    @pytest.mark.parametrize("under", [False, True],
+                             ids=["file", "under-file"])
+    @pytest.mark.parametrize("argv", [["simulate", "--seed", "1"],
+                                      ["reproduce-paper"]],
+                             ids=["simulate", "reproduce-paper"])
+    def test_file_in_the_way(self, argv, under, tmp_path, capsys,
+                             monkeypatch):
+        def no_work(*args):
+            raise AssertionError("work started")
+
+        monkeypatch.setattr(cli.simulate_mod, "simulate_campaign", no_work)
+        monkeypatch.setattr(cli.reference_mod, "reproduce_reference", no_work)
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        out = afile / "sub" if under else afile
+        assert cli.main(argv + ["--output-dir", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"usage error: output directory {out}: {afile} is not a "
+            "directory\n")
+        assert sorted(tmp_path.iterdir()) == [afile]
+
+
+class TestArtifactMode:
+    @pytest.mark.parametrize("umask", [0o022, 0o077], ids=["022", "077"])
+    def test_mode_of_a_plain_open(self, umask, tmp_path):
+        old = os.umask(umask)
+        try:
+            with open(tmp_path / "plain", "wb"):
+                pass
+            with cli._atomic_write(tmp_path / "atomic") as fh:
+                fh.write(b"x")
+        finally:
+            os.umask(old)
+        modes = [(tmp_path / name).stat().st_mode & 0o777
+                 for name in ("plain", "atomic")]
+        assert modes == [0o666 & ~umask] * 2
 
 
 # runs `python -m pepsearch.cli` with its address space capped at 3e6 KiB,

@@ -19,7 +19,6 @@ def make_events(n, rng=None, sorted_ts=True):
     ts = rng.integers(0, 2**40, size=n, dtype=np.uint64)
     ev["timestamp_ns"] = np.sort(ts) if sorted_ts else ts
     ev["trigger_flags"] = eventio.TRIGGER_SDD
-    ev["sdd_id"] = rng.integers(0, 6, size=n)
     ev["adc"] = rng.integers(0, 16384, size=n)
     return ev
 
@@ -127,12 +126,6 @@ class TestWriteValidation:
         eventio.write_run(header_for(ev), ev, buf)
         assert np.array_equal(eventio.read_run(buf.getvalue())[1], ev)
 
-    def test_bad_sdd_id_rejected(self):
-        ev = make_events(4)
-        ev["sdd_id"][2] = 7
-        with pytest.raises(RecordInvariantError):
-            eventio.write_run(header_for(ev), ev, io.BytesIO())
-
 
 class TestReadErrors:
     def _bytes(self, n=3):
@@ -155,7 +148,7 @@ class TestReadErrors:
 
     def test_version_1_rejected(self):
         # version 1 carried 80-byte records with 32 QDC charges
-        assert eventio.FORMAT_VERSION == 3 and eventio.RECORD_SIZE == 12
+        assert eventio.FORMAT_VERSION == 4 and eventio.RECORD_SIZE == 11
         data = bytearray(self._bytes())
         data[4:6] = (1).to_bytes(2, "little")
         with pytest.raises(UnsupportedVersionError) as err:
@@ -171,6 +164,16 @@ class TestReadErrors:
         assert err.value.offset == 4
         assert str(err.value) == \
             "unsupported format version 2 (byte offset 4)"
+
+    def test_version_3_rejected(self):
+        # version 3 carried 12-byte records with a u8 sdd_id
+        data = bytearray(self._bytes())
+        data[4:6] = (3).to_bytes(2, "little")
+        with pytest.raises(UnsupportedVersionError) as err:
+            eventio.read_run(bytes(data))
+        assert err.value.offset == 4
+        assert str(err.value) == \
+            "unsupported format version 3 (byte offset 4)"
 
     def test_run_id_not_utf8(self):
         data = bytearray(self._bytes())
@@ -209,16 +212,16 @@ class TestReadErrors:
     def test_record_invariant_on_read(self):
         ev = make_events(4)
         data = bytearray(self._bytes(4))
-        # corrupt sdd_id of record 2 in place
-        body_start = len(data) - 4 * eventio.RECORD_SIZE
-        sdd_off = body_start + 2 * eventio.RECORD_SIZE + 9
-        data[sdd_off] = 7
+        # set record 2's timestamp in place to one below record 1's
+        ts_off = len(data) - 2 * eventio.RECORD_SIZE
+        data[ts_off:ts_off + 8] = \
+            int(ev["timestamp_ns"][1] - 1).to_bytes(8, "little")
         with pytest.raises(RecordInvariantError) as err:
             eventio.read_run(bytes(data))
         assert err.value.record_index == 2
-        del ev
+        assert err.value.offset == ts_off
 
-    @pytest.mark.parametrize("fault", ["sdd_id", "timestamp"])
+    @pytest.mark.parametrize("fault", ["timestamp"])
     def test_fault_at_chunk_border(self, fault):
         # the first record of the second chunk: its timestamp is compared
         # with the last record of the first chunk
@@ -226,10 +229,7 @@ class TestReadErrors:
         ev = make_events(i + 10)
         ev["timestamp_ns"] = np.arange(len(ev), dtype=np.uint64) * 10
         head = eventio._encode_header(header_for(ev))
-        if fault == "sdd_id":
-            ev["sdd_id"][i] = 7
-        else:
-            ev["timestamp_ns"][i] = ev["timestamp_ns"][i - 1] - 1
+        ev["timestamp_ns"][i] = ev["timestamp_ns"][i - 1] - 1
         for act in (lambda: eventio.write_run(header_for(ev), ev,
                                               io.BytesIO()),
                     lambda: eventio.read_run(head + ev.tobytes())):
@@ -241,7 +241,6 @@ class TestReadErrors:
     def test_veto_only_records_valid(self):
         ev = make_events(2)
         ev["trigger_flags"] = eventio.VETO_COINCIDENCE  # no SDD bit
-        ev["sdd_id"] = eventio.VETO_ONLY_SDD_ID
         buf = io.BytesIO()
         eventio.write_run(header_for(ev), ev, buf)
         _, out = eventio.read_run(buf.getvalue())
@@ -276,7 +275,6 @@ class TestSelectEvents:
     def test_trigger_mask(self):
         ev = make_events(10)
         ev["trigger_flags"][:4] = eventio.TRIGGER_VETO_INNER
-        ev["sdd_id"][:4] = eventio.VETO_ONLY_SDD_ID
         assert self.counted(ev) == 6
 
 

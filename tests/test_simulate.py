@@ -27,10 +27,10 @@ def reference_run(source, response, live, seed, n_slices):
     Each component's total is the first draw of its stream, and one
     multinomial draw splits it over ``n_slices`` equal time slices.  Slice
     s of a component draws from child s of its stream, with the plain
-    (not in-place) arithmetic: energies, sorted times, normals, detector,
-    then, for the muons, the unstored timing and the tags.  Each slice is
-    ordered by ``lexsort`` with an explicit index tiebreak over the
-    components in order, and the slices are concatenated.
+    (not in-place) arithmetic: energies, sorted times, normals, then, for
+    the muons, the tags.  Each slice is ordered by ``lexsort`` with an
+    explicit index tiebreak over the components in order, and the slices
+    are concatenated.
     """
     assert source.continuum.rate_hz == 0 and source.calibration_rate_hz == 0
     streams = np.random.SeedSequence(seed).spawn(len(source.lines) + 4)
@@ -63,10 +63,8 @@ def reference_run(source, response, live, seed, n_slices):
             events = np.zeros(n, eventio.EVENT_DTYPE)
             events["timestamp_ns"] = (times * 1e9).astype(np.uint64)
             events["trigger_flags"] = eventio.TRIGGER_SDD
-            events["sdd_id"] = rng.integers(0, core.SDD_COUNT, n)
             events["adc"] = channels
             if tag_p > 0:
-                rng.integers(-500, 501, n, dtype=np.int32)
                 tagged = rng.random(n) < tag_p
                 events["trigger_flags"][tagged] |= eventio.VETO_COINCIDENCE
             parts.append(events)
